@@ -17,9 +17,9 @@ from ..core.knowledge import PossibilisticKnowledge
 from ..core.privacy import safe_possibilistic
 from ..core.verdict import AuditVerdict
 from ..core.worlds import PropertySet, WorldSpace
-from .families import KnowledgeFamily
+from .families import KnowledgeFamily, SubcubeFamily
 from .intervals import ExplicitIntervalIndex, FamilyIntervalOracle, IntervalOracle
-from .minimal import IntervalPartition, interval_partition
+from .minimal import IntervalPartition, interval_partition, subcube_partitions
 from .safety import audit_interval_based
 
 
@@ -63,11 +63,18 @@ class PossibilisticAuditor:
 
     def _partitions_for(self, audited: PropertySet) -> Dict[int, IntervalPartition]:
         if audited not in self._partitions:
-            outside = ~audited
-            table = {}
-            active = audited.mask & self._oracle.candidate_worlds().mask
-            for w1 in _bitops.iter_bits(active):
-                table[w1] = interval_partition(self._oracle, w1, outside)
+            oracle = self._oracle
+            # Subcubes have a closed form; every other K is searched per origin.
+            if isinstance(oracle, FamilyIntervalOracle) and isinstance(
+                oracle.family, SubcubeFamily
+            ):
+                table = subcube_partitions(audited, oracle.candidate_worlds())
+            else:
+                outside = ~audited
+                table = {}
+                active = audited.mask & oracle.candidate_worlds().mask
+                for w1 in _bitops.iter_bits(active):
+                    table[w1] = interval_partition(oracle, w1, outside)
             self._partitions[audited] = table
         return self._partitions[audited]
 

@@ -12,7 +12,7 @@ with, and Figure 1's hatched regions are exactly these classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .. import _bitops
 from ..core.worlds import PropertySet
@@ -45,25 +45,29 @@ def minimal_intervals_to(
     Interval lookups go through the oracle's ``(origin, ω₂)`` memo, so
     partition computations across many origins (and repeated calls with the
     same oracle) reuse each interval instead of rebuilding a private cache
-    per call.  Minimality checks compare packed masks: candidate ∩ target is
-    one big-int AND and every interval comparison an int equality.
+    per call.  Minimality depends only on the interval, so each distinct
+    interval is scanned once.  Minimality checks compare packed masks:
+    candidate ∩ target is one big-int AND and every interval comparison an
+    int equality.
     """
     oracle.space.check_same(target.space)
     target_mask = target.mask
     intervals: Dict[int, Tuple[int, PropertySet]] = {}
+    rejected: Set[int] = set()
 
     for w2 in _bitops.iter_bits(target_mask):
         candidate = oracle.interval(origin, w2)
         if candidate is None:
             continue
         candidate_mask = candidate.mask
-        minimal = True
+        if candidate_mask in intervals or candidate_mask in rejected:
+            continue
         for w2_prime in _bitops.iter_bits(candidate_mask & target_mask):
             other = oracle.interval(origin, w2_prime)
             if other is None or other.mask != candidate_mask:
-                minimal = False
+                rejected.add(candidate_mask)
                 break
-        if minimal and candidate_mask not in intervals:
+        else:
             intervals[candidate_mask] = (w2, candidate)
     return [
         MinimalInterval(origin, witness, interval)
@@ -127,3 +131,40 @@ def interval_partition(
         classes=tuple(classes),
         unreachable=PropertySet._from_mask(space, target.mask & ~covered),
     )
+
+
+def subcube_partitions(
+    audited: PropertySet, candidates: PropertySet
+) -> Dict[int, IntervalPartition]:
+    """``Δ_K(Ā, ω₁)`` for every ``ω₁ ∈ A ∩ C`` under ``K = C ⊗ subcubes``.
+
+    ``I(ω₁, ω₂′) ⊆ I(ω₁, ω₂)`` exactly when ``ω₁ ⊕ ω₂′ ⊆ ω₁ ⊕ ω₂``, so the
+    minimal intervals to ``Ā`` are the boxes of the ``ω₂ ∈ Ā`` whose
+    difference from ``ω₁`` is ⊆-minimal, each meeting ``Ā`` in ``{ω₂}``
+    alone.  Per origin, ``Ā`` is up-closed away from ``ω₁`` and one more
+    pass marks every world above a closer member: ``2n`` stripe shifts and
+    no interval lookup.  Same partitions as :func:`interval_partition`
+    (classes ascending by world, same ``D_∞``).
+    """
+    space = audited.space
+    space.check_same(candidates.space)
+    target = space.full_mask & ~audited.mask
+    bits = [1 << i for i in range(space.n)]
+    stripes = [(bit, _bitops.stripe_mask(bit, space.size)) for bit in bits]
+    table: Dict[int, IntervalPartition] = {}
+    for w1 in _bitops.iter_bits(audited.mask & candidates.mask):
+        # Coordinate i steps away from ω₁ᵢ: ``>> 2^i`` on its stripe when
+        # ω₁ᵢ = 1, ``<< 2^i`` off it when ω₁ᵢ = 0.
+        up = target
+        for bit, stripe in stripes:
+            up |= (up & stripe) >> bit if w1 & bit else (up & ~stripe) << bit
+        strict = 0
+        for bit, stripe in stripes:
+            strict |= (up & stripe) >> bit if w1 & bit else (up & ~stripe) << bit
+        minimal = target & ~strict
+        table[w1] = IntervalPartition(
+            origin=w1,
+            classes=tuple(map(space.singleton, _bitops.iter_bits(minimal))),
+            unreachable=PropertySet._from_mask(space, target & ~minimal),
+        )
+    return table
