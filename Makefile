@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos-smoke serve-smoke bench bench-smoke bench-all build-native
+.PHONY: test chaos-smoke serve-smoke bench-smoke bench-all build-native
 
 # Best-effort build of the E20 compiled kernels into src/ (optional: the
 # NumPy fallback is verdict-identical when this fails or is skipped).
@@ -12,11 +12,11 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Seeded chaos matrix: the fault-injection suite replayed under several
-# fault schedules (including the store-write, store-sql-write and
-# native-load sites), plus the gateway chaos matrix (conn-drop,
+# fault schedules (solver-timeout, nonconvergence, store-write,
+# store-sql-write and native-load), plus the gateway chaos matrix (conn-drop,
 # journal-torn-write, slow-tenant, drain-flush, and the scale-out sites:
 # commit-fsync-fail crashes a group-commit round with every verdict in
-# it withheld, executor-crash SIGKILLs a worker process mid-batch).
+# it withheld, executor-crash SIGKILLs a gateway executor mid-batch).
 # Verdicts must stay identical at every seed.
 chaos-smoke:
 	for seed in 0 1 2; do \
@@ -32,12 +32,10 @@ chaos-smoke:
 serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
 
-bench:
-	$(PYTHON) -m repro.perf.bench
-
-# Down-scaled E14–E20 sanity run for CI: tiny workloads, throwaway output.
+# The benchmark's own tests, including a short smoke run of every epbench
+# workload in both trace modes (the same command as the CI epbench job).
 bench-smoke:
-	$(PYTHON) -m repro.perf.bench --smoke --output BENCH_smoke.json
+	python3 -m pytest epbench/tests
 
 bench-all:
 	cd benchmarks && PYTHONPATH=../src $(PYTHON) -m pytest -q

@@ -66,12 +66,13 @@ class Backend:
     ``fused_split(parents, axes, left, right, child_min, corners,
     corner_idx, n)`` — for each row ``i`` of ``parents`` (a C-contiguous
     ``(count, 3**n)`` float64 block) split along ``axes[i]`` with the exact
-    midpoint de Casteljau arithmetic of
-    :func:`repro.probabilistic.exact.bernstein_split`, writing the child
-    coefficient rows into ``left[i]`` / ``right[i]``, the per-child
-    coefficient minima into ``child_min[:count]`` / ``child_min[count:]``,
-    and gathering the corner coefficients ``row[corner_idx]`` of each child
-    into ``corners``.  One pass, no intermediate sweeps.
+    midpoint de Casteljau arithmetic of the NumPy path in
+    :func:`repro.probabilistic.exact.decide_nonnegative_on_box_batched`,
+    writing the child coefficient rows into ``left[i]`` / ``right[i]``, the
+    per-child coefficient minima into ``child_min[:count]`` /
+    ``child_min[count:]``, and gathering the corner coefficients
+    ``row[corner_idx]`` of each child into ``corners``.  One pass, no
+    intermediate sweeps.
 
     ``select_axes(sel, ubs, best_axis, n)`` is the compiled counterpart of
     :func:`repro.probabilistic.exact._lazy_split_axes`: per-row worst

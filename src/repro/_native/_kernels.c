@@ -8,7 +8,8 @@
  * is the memory-bandwidth fix at n = 8 where each sweep re-streams ~6561
  * doubles per child from DRAM.
  *
- * The arithmetic mirrors exact.bernstein_split bit for bit:
+ * The arithmetic mirrors the NumPy split in
+ * exact.decide_nonnegative_on_box_batched bit for bit:
  *     m01 = 0.5*(b0+b1); m12 = 0.5*(b1+b2); mid = 0.5*(m01+m12)
  * (multiplication by 0.5 is exact; the sums are evaluated in the same
  * order as the NumPy path, and no expression here has the mul-add shape

@@ -151,7 +151,7 @@ class TensorCache:
     ``(A, B)`` pair against many prior families; the gap tensor depends only
     on the pair, so rebuilding it per decision is pure waste.  Keys are the
     cross-process-stable :meth:`~repro.core.worlds.PropertySet.fingerprint`
-    digests, so a cache can be rebuilt consistently inside pool workers.
+    digests, so a cache can be rebuilt consistently in any process.
     Cached tensors are marked read-only — they are shared across decisions.
     """
 

@@ -6,7 +6,7 @@ answer-strategy simulator (truthful denial vs. always-deny vs. the
 footnote-1 coin flip).
 """
 
-from .engine import BatchAuditEngine, DispatchStats, VerdictCache
+from .engine import BatchAuditEngine, VerdictCache
 from .incremental import (
     IncrementalAuditor,
     UserCompositionState,
@@ -45,7 +45,6 @@ __all__ = [
     "CoinFlipStrategy",
     "DisclosureEvent",
     "DisclosureLog",
-    "DispatchStats",
     "EventFinding",
     "IncrementalAuditor",
     "ObserverBelief",

@@ -1,10 +1,10 @@
-"""The batched audit engine: dedupe → verdict cache → fault-tolerant fan-out.
+"""The batched audit engine: dedupe → verdict cache → serial decisions.
 
 The seed pipeline audited a disclosure log strictly one event at a time:
 every event recompiled its disclosed set and re-ran the full decision
 pipeline, even when many log entries shared the same query answer.  Real
 logs are heavy with repeats (popular queries are asked again and again), so
-the batched engine exploits three layers of reuse:
+the batched engine exploits two layers of reuse before deciding anything:
 
 1. **Batch compilation** — events are grouped by query, and each unique
    query's answer is compiled to its disclosed set ``B`` exactly once
@@ -19,20 +19,16 @@ the batched engine exploits three layers of reuse:
    bounded-agent move of Halpern–Pucella's *probabilistic algorithmic
    knowledge*: the auditor's knowledge is whatever its resource budget lets
    it recompute — or remember.
-3. **Process-pool fan-out** — the remaining unique decisions are pure
-   functions of numpy tensors and frozensets, so they pickle cleanly and
-   dispatch across cores via :mod:`concurrent.futures`.  Small batches and
-   ``n_workers <= 1`` stay serial.
+
+Every pair still undecided after the cache and the optional persistent
+store is decided in this process, one at a time, by :func:`_decide_task`:
+one decision path, whichever entry point (:meth:`BatchAuditEngine.audit_log`,
+``decide_many``, ``decide_one``) asked.
 
 On top of the reuse layers sits the **resilience layer**
 (:mod:`repro.runtime`), with one invariant: *degradation changes
 provenance, never verdicts*.
 
-* A broken pool (worker OOM-killed, sandbox refusing ``fork``, pipe loss)
-  keeps every verdict healthy workers already returned; only the lost
-  tasks are resubmitted, with seeded decorrelated-jitter backoff, and the
-  final remainder is decided in-process.  Each such event is counted on
-  :class:`~repro.runtime.RuntimeStats` — never a silent serial rerun.
 * ``decision_budget`` gives every decision a monotonic-clock deadline; the
   stage chain polls it and degrades soundly (optional stages skipped, the
   exact stage stops at its next poll, typed UNKNOWN at worst).
@@ -44,22 +40,16 @@ provenance, never verdicts*.
   (see :mod:`repro.runtime.faults`) is auditable after the fact.
 
 Determinism: every decision runs with a freshly seeded generator, so
-results are independent of decision *order* — parallel and serial runs are
-bit-identical.  This differs from the per-event path only in which
-optimiser witness an UNSAFE verdict may carry (statuses never differ: the
-randomised stages are backed by deterministic exact/criteria stages).
+results are independent of decision *order*.  This differs from the
+per-event path only in which optimiser witness an UNSAFE verdict may carry
+(statuses never differ: the randomised stages are backed by deterministic
+exact/criteria stages).
 """
 
 from __future__ import annotations
 
-import math
-import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from multiprocessing import shared_memory
-from pickle import PicklingError
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,11 +63,9 @@ from ..db.compile import CandidateUniverse
 from ..exceptions import MalformedEventError, QueryError, ReproError
 from ..perf import CacheStats
 from ..probabilistic.exact import DEFAULT_ATOL
-from ..runtime import faults
 from ..runtime.breaker import CircuitBreaker
 from ..runtime.budget import Budget
 from ..runtime.outcome import DecisionOutcome, RuntimeStats
-from ..runtime.retry import RetryPolicy
 from .log import DisclosureLog
 from .offline import AuditReport, EventFinding, make_decider
 from .policy import AuditPolicy, PriorAssumption
@@ -86,11 +74,8 @@ from .store import VerdictStoreBase
 __all__ = [
     "BatchAuditEngine",
     "DecisionTask",
-    "DispatchStats",
     "VerdictCache",
     "DECISION_BACKENDS",
-    "MIN_PARALLEL_DECISIONS",
-    "DEFAULT_CHUNK_SIZE",
 ]
 
 #: Valid ``decision_backend`` requests.  ``"mask"`` always enumerates the
@@ -103,124 +88,28 @@ DECISION_BACKENDS = ("auto", "mask", "symbolic")
 #: A verdict-cache key: (A digest, B digest, assumption value, atol).
 CacheKey = Tuple[str, str, str, float]
 
-#: Batches with fewer undecided pairs than this run serially even when a
-#: pool is allowed — fork + pickle overhead would dominate.
-MIN_PARALLEL_DECISIONS = 4
-
-#: Tasks per pool future when no per-task cost has been measured yet.
-DEFAULT_CHUNK_SIZE = 32
-
-#: Upper bound on the adaptive chunk size (bounds per-future pickle memory).
-MAX_CHUNK_SIZE = 512
-
-#: Adaptive chunking aims each chunk at roughly this much worker time:
-#: big enough to amortise the submit/pickle round-trip, small enough that a
-#: straggler chunk cannot idle the other workers for long.
-CHUNK_TARGET_SECONDS = 0.25
-
-#: EWMA smoothing for the measured per-task decision cost.
-_EWMA_ALPHA = 0.2
-
 #: Entries retained in the engine's cross-event safety-gap tensor cache.
 TENSOR_CACHE_CAPACITY = 512
 
-#: Adaptive pool gate: estimated batch work (tasks × 4^n) below this stays
-#: serial.  Decision cost grows roughly exponentially with the dimension,
-#: so big spaces engage the pool at a handful of tasks while tiny spaces
-#: need a large batch before forking beats deciding in-process.
-MIN_PARALLEL_WORK = 4096
-
-#: Per-process memo of stateless (possibilistic/unrestricted) deciders, so a
-#: pool worker builds its partition structures once per (space, family).
+#: Per-process memo of stateless (possibilistic/unrestricted) deciders, so
+#: partition structures are built once per (space, family).
 _DECIDER_MEMO: Dict[tuple, object] = {}
 
 #: Families whose pipelines draw random restarts; their deciders are rebuilt
 #: with a fresh seed per decision to keep results order-independent.
 _RANDOMISED = (PriorAssumption.PRODUCT, PriorAssumption.LOG_SUPERMODULAR)
 
-#: True in processes spawned as pool workers (set by the pool initializer).
-#: Gates the worker-crash fault probe: the serial/recovery path never
-#: crashes itself, so chaos runs are guaranteed to terminate.
-_POOL_WORKER = False
-
-#: The batch-constant half of every task, deserialised once per worker by
-#: the pool initializer instead of once per task (see :class:`_TaskContext`).
-_WORKER_CONTEXT: Optional["_TaskContext"] = None
-
-#: The worker's view of the batch's shared-memory tensor pool: a read-only
-#: ``(count, 3, …, 3)`` float64 array mapped over the parent's segment, or
-#: ``None`` when no pool is attached (tasks then carry inline tensors, or
-#: none at all and the pipeline recomputes them).
-_WORKER_TENSORS: Optional[np.ndarray] = None
-
-#: Keeps the worker's SharedMemory mapping alive for the pool's lifetime.
-_WORKER_SHM: Optional[shared_memory.SharedMemory] = None
-
-
-def _unregister_shm(shm: shared_memory.SharedMemory) -> None:
-    """Detach an *attached* segment from this process's resource tracker.
-
-    Attaching registers the segment with the tracker on CPythons before the
-    3.13 ``track=`` parameter, so every spawned worker would try to clean up
-    (and warn about) a segment only the parent owns.  Unregistering after
-    attach restores single-owner semantics; failures are cosmetic only.
-
-    Forked workers share the parent's tracker process, where registration
-    is a set — their duplicate register is a no-op, but an unregister would
-    strip the *parent's* entry and make the eventual ``unlink`` trip a
-    tracker KeyError.  So under fork this does nothing.
-    """
-    try:
-        import multiprocessing
-        from multiprocessing import resource_tracker
-
-        if multiprocessing.get_start_method(allow_none=True) == "fork":
-            return
-        resource_tracker.unregister(getattr(shm, "_name", shm.name), "shared_memory")
-    except Exception:  # pragma: no cover - tracker API drift is non-fatal
-        pass
-
-
-def _init_pool_worker(context: Optional["_TaskContext"] = None) -> None:
-    """Pool initializer: flag this process as a worker and pin the context.
-
-    Runs once per worker process.  ``context`` carries everything constant
-    across a batch (audited set, assumption, tolerance, budget), so each
-    shipped task only pickles its per-pair payload.  When the context names
-    a shared-memory tensor pool, the worker maps it once here — a failed
-    attach degrades to tensor recomputation per task, never to an error.
-    """
-    global _POOL_WORKER, _WORKER_CONTEXT, _WORKER_TENSORS, _WORKER_SHM
-    _POOL_WORKER = True
-    _WORKER_CONTEXT = context
-    _WORKER_TENSORS = None
-    _WORKER_SHM = None
-    if context is None or context.shm_name is None:
-        return
-    try:
-        shm = shared_memory.SharedMemory(name=context.shm_name)
-    except (OSError, ValueError):
-        return  # pool gone or unmappable: slim tasks recompute tensors
-    _unregister_shm(shm)
-    _WORKER_SHM = shm
-    tensors = np.ndarray(
-        (context.tensor_count,) + tuple(context.tensor_shape),
-        dtype=np.float64,
-        buffer=shm.buf,
-    )
-    tensors.flags.writeable = False
-    _WORKER_TENSORS = tensors
-
 
 @dataclass(frozen=True)
 class DecisionTask:
-    """One decision shipped to a worker (or decided in-process).
+    """The inputs of one ``Safe_K(A, B)`` decision.
 
     Budgets deliberately travel as ``budget_seconds`` rather than as a
-    live :class:`~repro.runtime.Budget`: the worker starts its own clock
-    when the decision starts, so the deadline measures decision time, not
-    queue time.  ``pinned`` forces the deterministic exact path (set by
-    the circuit breaker); ``use_sos`` enables the certificate stage.
+    live :class:`~repro.runtime.Budget`: :func:`_decide_task` starts the
+    clock when the decision starts, so the deadline measures decision
+    time, not time spent behind the batch's earlier decisions.  ``pinned``
+    forces the deterministic exact path (set by the circuit breaker);
+    ``use_sos`` enables the certificate stage.
     """
 
     assumption_value: str
@@ -236,133 +125,6 @@ class DecisionTask:
     #: mask path.  Typed loosely so the mask path never imports
     #: :mod:`repro.symbolic`.
     symbolic: Optional[object] = None
-
-
-@dataclass(frozen=True)
-class _TaskContext:
-    """The batch-constant task fields, shipped once per worker.
-
-    Every task of a batch shares the audited set, assumption, tolerance,
-    certificate flag and budget; only ``(disclosed, tensor, pinned)`` vary.
-    Pickling the constants per task made dispatch cost scale with payload
-    size times batch size — the context travels through the pool
-    initializer's ``initargs`` instead, once per worker process.
-
-    ``shm_name``/``tensor_shape``/``tensor_count`` describe the batch's
-    shared-memory tensor pool (E20): slim tasks then ship an integer slot
-    into the pool instead of a pickled ``3**n``-element tensor, and the
-    worker maps the segment once in its initializer.
-    """
-
-    assumption_value: str
-    atol: float
-    audited: PropertySet
-    budget_seconds: Optional[float] = None
-    use_sos: bool = False
-    shm_name: Optional[str] = None
-    tensor_shape: Optional[Tuple[int, ...]] = None
-    tensor_count: int = 0
-
-    def rebuild(self, slim: "_SlimTask") -> DecisionTask:
-        tensor = slim.tensor
-        if tensor is None and slim.tensor_slot is not None and _WORKER_TENSORS is not None:
-            tensor = _WORKER_TENSORS[slim.tensor_slot]
-        return DecisionTask(
-            assumption_value=self.assumption_value,
-            atol=self.atol,
-            audited=self.audited,
-            disclosed=slim.disclosed,
-            tensor=tensor,
-            budget_seconds=self.budget_seconds,
-            use_sos=self.use_sos,
-            pinned=slim.pinned,
-            symbolic=slim.symbolic,
-        )
-
-
-@dataclass(frozen=True)
-class _SlimTask:
-    """The per-pair remainder of a task once the context is factored out.
-
-    ``tensor_slot`` indexes the batch's shared-memory tensor pool when one
-    is attached (``tensor`` is then ``None``); an inline ``tensor`` is the
-    degraded path for pools that could not be created or mapped.
-    """
-
-    disclosed: PropertySet
-    tensor: Optional[np.ndarray] = None
-    pinned: bool = False
-    tensor_slot: Optional[int] = None
-    symbolic: Optional[object] = None
-
-
-def _decide_chunk(slims: Tuple[_SlimTask, ...]) -> List[DecisionOutcome]:
-    """Decide a chunk of slim tasks inside a pool worker.
-
-    One future per chunk instead of per task: the submit/pickle round-trip
-    and the executor's bookkeeping are amortised over the whole chunk.  The
-    fault probes in :func:`_decide_task` still fire per task, so chaos
-    schedules keep their per-task granularity.
-    """
-    context = _WORKER_CONTEXT
-    if context is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("pool worker was not initialised with a task context")
-    return [_decide_task(context.rebuild(slim)) for slim in slims]
-
-
-@dataclass
-class DispatchStats:
-    """Pool-economics counters: what dispatch itself costs, per task.
-
-    ``submit_seconds`` is parent-side time spent in the chunked submission
-    loop (slim-task construction + executor handoff); ``pool_setup_seconds``
-    is cumulative executor construction time; ``task_cost_ewma`` is an
-    exponentially-weighted average of worker-measured per-decision seconds.
-    Together they yield the per-task dispatch overhead and the pool
-    break-even point reported by :meth:`BatchAuditEngine.pool_break_even` —
-    so a regression in pool economics shows up as a number, not as a vague
-    end-to-end slowdown.
-    """
-
-    tasks_shipped: int = 0
-    chunks_shipped: int = 0
-    rounds: int = 0
-    submit_seconds: float = 0.0
-    pool_setup_seconds: float = 0.0
-    last_chunk_size: Optional[int] = None
-    task_cost_ewma: Optional[float] = None
-
-    def observe_task_cost(self, elapsed: Optional[float]) -> None:
-        if elapsed is None:
-            return
-        if self.task_cost_ewma is None:
-            self.task_cost_ewma = float(elapsed)
-        else:
-            self.task_cost_ewma += _EWMA_ALPHA * (float(elapsed) - self.task_cost_ewma)
-
-    def per_task_overhead(self) -> Optional[float]:
-        """Parent-side dispatch seconds per shipped task (None before data)."""
-        if not self.tasks_shipped:
-            return None
-        return self.submit_seconds / self.tasks_shipped
-
-    def pool_setup_cost(self) -> Optional[float]:
-        """Mean executor construction seconds per pool round (None before data)."""
-        if not self.rounds:
-            return None
-        return self.pool_setup_seconds / self.rounds
-
-    def as_dict(self) -> Dict[str, Optional[float]]:
-        return {
-            "tasks_shipped": self.tasks_shipped,
-            "chunks_shipped": self.chunks_shipped,
-            "rounds": self.rounds,
-            "submit_seconds": self.submit_seconds,
-            "pool_setup_seconds": self.pool_setup_seconds,
-            "last_chunk_size": self.last_chunk_size,
-            "task_cost_ewma": self.task_cost_ewma,
-            "per_task_overhead": self.per_task_overhead(),
-        }
 
 
 def _run_pipeline(
@@ -394,8 +156,8 @@ def _run_pipeline(
         decider = _DECIDER_MEMO[memo_key] = make_decider(space, assumption)
     if task.symbolic is not None and not pinned:
         # Symbolic-first dispatch: engine availability is checked at decide
-        # time (works in forked pool workers), and any shortfall falls back
-        # to the mask decider with the degradation recorded on the verdict.
+        # time, and any shortfall falls back to the mask decider with the
+        # degradation recorded on the verdict.
         from ..possibilistic.safety import audit_with_backend
 
         return audit_with_backend(
@@ -428,15 +190,13 @@ def _outcome_from_verdict(
 
 
 def _decide_task(task: DecisionTask) -> DecisionOutcome:
-    """Decide one ``(A, B)`` pair; importable top-level so pools can pickle it.
+    """Decide one ``(A, B)`` pair: the engine's only decision path.
 
-    Used identically by the serial path and by pool workers.  Pipeline
-    errors (injected or real) are retried once on the deterministic exact
-    path before surfacing as a typed ``UNKNOWN("decision-error")`` — this
-    function never raises a :class:`~repro.exceptions.ReproError`.
+    Pipeline errors (injected or real) are retried once on the
+    deterministic exact path before surfacing as a typed
+    ``UNKNOWN("decision-error")`` — this function never raises a
+    :class:`~repro.exceptions.ReproError`.
     """
-    if _POOL_WORKER and faults.fire(faults.WORKER_CRASH):
-        os._exit(86)  # simulate an OOM-kill: a genuine BrokenProcessPool
     started = time.monotonic()
     budget = Budget(task.budget_seconds)
     assumption = PriorAssumption(task.assumption_value)
@@ -523,40 +283,30 @@ class VerdictCache:
 
 
 class BatchAuditEngine:
-    """Batched, memoised, fault-tolerant, optionally parallel auditing.
+    """Batched, memoised, fault-tolerant auditing.
 
     Parameters
     ----------
     universe, policy:
         As for :class:`~repro.audit.offline.OfflineAuditor`.
     n_workers:
-        Process count for the decision fan-out.  ``1`` (default) is fully
-        serial; ``None`` means ``os.cpu_count()``.  Small batches (fewer
-        than :data:`MIN_PARALLEL_DECISIONS` undecided pairs) always run
-        serially.
+        Must be ``1``: every decision runs in this process.  Any other
+        value raises :class:`ValueError`.
     atol:
         Numeric tolerance forwarded to the product-family exact decision and
         part of every verdict-cache key.
     cache:
         An existing :class:`VerdictCache` to share between engines (e.g.
         across assumption ablations); a private one is created by default.
-    parallel_threshold:
-        Minimum number of *pending* decisions before the pool engages.
-        ``None`` (default) adapts to the space dimension via
-        :data:`MIN_PARALLEL_WORK`; ``0`` forces the pool whenever
-        ``n_workers > 1`` (used by tests and pool-cost measurements).
     decision_budget:
-        Per-decision deadline in seconds (``None`` = unlimited).  Shipped
-        inside each task; the deciding process starts its own clock.
+        Per-decision deadline in seconds (``None`` = unlimited); each
+        decision starts its own clock.
     use_sos:
         Attempt the sum-of-squares certificate stage for product-family
         decisions (the stage the circuit breaker guards).
     breaker:
         The :class:`~repro.runtime.CircuitBreaker` watching certificate
         failures; a default one is created when omitted.
-    retry:
-        The :class:`~repro.runtime.RetryPolicy` for pool resubmission; a
-        default seeded policy is created when omitted.
     store:
         An optional persistent verdict store (any
         :class:`~repro.audit.store.VerdictStoreBase` backend — the JSON
@@ -564,16 +314,10 @@ class BatchAuditEngine:
         misses are resolved through **one** batched
         :meth:`~repro.audit.store.VerdictStoreBase.probe_many` round trip
         per ``audit_log`` call — warm pairs are pruned from the batch
-        before pool dispatch — and freshly decided verdicts are written
+        before any decision runs — and freshly decided verdicts are written
         back and flushed once per call.  Store failures (corrupt loads,
         failed flushes) degrade to recomputation and are counted as
         ``store_failures`` on ``runtime_stats``; they never raise.
-    chunk_size:
-        Tasks per pool future.  ``None`` (default) adapts: start at
-        :data:`DEFAULT_CHUNK_SIZE`, then aim each chunk at
-        :data:`CHUNK_TARGET_SECONDS` of worker time using the measured
-        per-task cost EWMA, always capped by a fair share
-        (``ceil(pending / workers)``) so every worker gets work.
     decision_backend:
         ``Safe_K`` decision procedure request (:data:`DECISION_BACKENDS`).
         ``"mask"`` keeps the world-mask path; ``"symbolic"`` lowers
@@ -587,26 +331,26 @@ class BatchAuditEngine:
     ``runtime_stats`` accumulates the resilience layer's counters across
     ``audit_log`` calls on this engine (like the verdict cache, which also
     persists across calls); every report references the same object.
-    ``dispatch_stats`` does the same for pool economics (chunks shipped,
-    per-task dispatch overhead, measured per-task cost).
     """
 
     def __init__(
         self,
         universe: CandidateUniverse,
         policy: AuditPolicy,
-        n_workers: Optional[int] = 1,
+        n_workers: int = 1,
         atol: Optional[float] = None,
         cache: Optional[VerdictCache] = None,
-        parallel_threshold: Optional[int] = None,
         decision_budget: Optional[float] = None,
         use_sos: bool = False,
         breaker: Optional[CircuitBreaker] = None,
-        retry: Optional[RetryPolicy] = None,
-        chunk_size: Optional[int] = None,
         store: Optional[VerdictStoreBase] = None,
         decision_backend: str = "auto",
     ) -> None:
+        if n_workers != 1:
+            raise ValueError(
+                f"BatchAuditEngine decides in-process; n_workers must be 1, "
+                f"got {n_workers!r}"
+            )
         if decision_backend not in DECISION_BACKENDS:
             raise ValueError(
                 f"decision_backend must be one of {DECISION_BACKENDS}, "
@@ -614,16 +358,10 @@ class BatchAuditEngine:
             )
         self._universe = universe
         self._policy = policy
-        self.n_workers = n_workers
-        self.parallel_threshold = parallel_threshold
-        self.pool_engaged = False  # did the last audit_log use the pool?
         self.decision_budget = decision_budget
         self.use_sos = use_sos
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.retry = retry if retry is not None else RetryPolicy()
         self.runtime_stats = RuntimeStats()
-        self.chunk_size = chunk_size
-        self.dispatch_stats = DispatchStats()
         self._atol = DEFAULT_ATOL if atol is None else float(atol)
         self._cache = cache if cache is not None else VerdictCache()
         self.store = store
@@ -833,78 +571,25 @@ class BatchAuditEngine:
 
     def audit_log(self, log: DisclosureLog) -> AuditReport:
         """Audit every event of the log; the batched counterpart of the
-        per-event :meth:`OfflineAuditor.audit_log_serial` loop."""
+        per-event :meth:`OfflineAuditor.audit_log_serial` loop.
+
+        Events resolve through the same cache → store → pipeline path as
+        :meth:`decide_many`, and the attached store is flushed once."""
         events = list(log)
         disclosed_sets = self.compile_log(log)
-        assumption = self._policy.assumption
-        # Provenance for reports/benchmarks: which kernel backend decided.
-        self.runtime_stats.native_backend = _native.backend_name()
-        self.runtime_stats.decision_backend = self._decision_backend
-        symbolic_wanted = self._symbolic_wanted()
-
-        # Probe the in-memory cache per event, then resolve every cache
-        # miss against the persistent store in ONE batched round trip —
-        # the store answers "what do we already know about this batch?"
-        # at a cost priced by the batch, not per pair.  Store-warm pairs
-        # are pruned here, before any pool dispatch cost is paid.
-        keys: List[CacheKey] = []
-        cold: Dict[CacheKey, PropertySet] = {}
-        cold_symbolic: Dict[CacheKey, Optional[object]] = {}
-        for event, disclosed in zip(events, disclosed_sets):
-            key = VerdictCache.key(self._audited, disclosed, assumption, self._atol)
-            keys.append(key)
-            if self._cache.contains(key) or key in cold:
-                self._cache.hits += 1
-                continue
-            self._cache.misses += 1
-            cold[key] = disclosed
-            if symbolic_wanted:
-                cold_symbolic[key] = self._symbolic_for(event.query)
-        store_outcomes: Dict[CacheKey, DecisionOutcome] = {}
-        if self.store is not None and cold:
-            for key, stored in self.store.probe_many(list(cold)).items():
-                self._cache.put(key, stored)
-                store_outcomes[key] = DecisionOutcome(
-                    verdict=stored, stages=("verdict-store",)
-                )
-                del cold[key]
-        pending: Dict[CacheKey, DecisionTask] = {
-            key: DecisionTask(
-                assumption_value=assumption.value,
-                atol=self._atol,
-                audited=self._audited,
-                disclosed=disclosed,
-                tensor=self._tensor_for(disclosed),
-                budget_seconds=self.decision_budget,
-                use_sos=self.use_sos,
-                symbolic=cold_symbolic.get(key),
-            )
-            for key, disclosed in cold.items()
-        }
-
-        outcomes: Dict[CacheKey, DecisionOutcome] = dict(store_outcomes)
-        for key, outcome in zip(pending, self._decide_batch(list(pending.values()))):
-            self._cache.put(key, outcome.verdict)
-            if self.store is not None:
-                self.store.put(key, outcome.verdict)
-            outcomes[key] = outcome
+        outcomes = self._resolve(
+            disclosed_sets, [event.query for event in events], pinned=False
+        )
         self.flush_store()
-
-        findings = []
-        for event, disclosed, key in zip(events, disclosed_sets, keys):
-            verdict = self._cache.fetch(key)
-            outcome = outcomes.get(key)
-            if outcome is None:
-                # Decided by an earlier audit_log call: provenance is the cache.
-                outcome = DecisionOutcome(verdict=verdict, stages=("verdict-cache",))
-            findings.append(
-                EventFinding(
-                    event=event,
-                    disclosed_set=disclosed,
-                    verdict=verdict,
-                    outcome=outcome,
-                )
+        findings = [
+            EventFinding(
+                event=event,
+                disclosed_set=disclosed,
+                verdict=outcome.verdict,
+                outcome=outcome,
             )
+            for event, disclosed, outcome in zip(events, disclosed_sets, outcomes)
+        ]
         return AuditReport(
             policy=self._policy,
             findings=findings,
@@ -922,7 +607,7 @@ class BatchAuditEngine:
         Compiled disclosed sets and the verdict cache are shared across the
         runs; when the product family appears, gap tensors are precomputed
         once so its exact stage never rebuilds them.  The runtime knobs
-        (budget, certificate stage, breaker, retry policy) and the stats
+        (budget, certificate stage, breaker) and the stats
         they feed are shared too, so a fault during one family's run is
         visible in every sibling report.
         """
@@ -937,14 +622,11 @@ class BatchAuditEngine:
                     assumption=assumption,
                     name=f"{self._policy.name}[{assumption.value}]",
                 ),
-                n_workers=self.n_workers,
                 atol=self._atol,
                 cache=self._cache,
                 decision_budget=self.decision_budget,
                 use_sos=self.use_sos,
                 breaker=self.breaker,
-                retry=self.retry,
-                chunk_size=self.chunk_size,
                 store=self.store,
                 decision_backend=self._decision_backend,
             )
@@ -952,7 +634,6 @@ class BatchAuditEngine:
             sibling._compile_stats = self._compile_stats
             sibling._tensor_cache = self._tensor_cache
             sibling.runtime_stats = self.runtime_stats
-            sibling.dispatch_stats = self.dispatch_stats
             sibling._formulas = self._formulas
             sibling.backend_counts = self.backend_counts
             reports[assumption] = sibling.audit_log(log)
@@ -1030,8 +711,7 @@ class BatchAuditEngine:
             pinned=pinned,
             symbolic=symbolic,
         )
-        outcome = _decide_task(self._apply_breaker(task))
-        self._record_outcome(outcome)
+        outcome = self._decide_batch([task])[0]
         self._cache.put(key, outcome.verdict)
         if self.store is not None:
             self.store.put(key, outcome.verdict)
@@ -1061,6 +741,25 @@ class BatchAuditEngine:
         (optional, position-aligned) lets decisions ride the symbolic
         backend; ``pinned`` forces the deterministic exact path for the
         whole batch (the gateway batches pinned tenants separately).
+        """
+        return self._resolve(disclosed_sets, queries, pinned)
+
+    # -- decision dispatch ---------------------------------------------------------
+
+    def _resolve(
+        self,
+        disclosed_sets: Sequence[PropertySet],
+        queries: Optional[Sequence[Any]],
+        pinned: bool,
+    ) -> List[DecisionOutcome]:
+        """Cache → store → pipeline for a batch, outcomes position-aligned.
+
+        The in-memory cache is probed per item, then every cache miss is
+        resolved against the persistent store in ONE batched round trip —
+        the store answers "what do we already know about this batch?" at a
+        cost priced by the batch, not per pair.  Only what neither knows
+        reaches :meth:`_decide_batch`; fresh verdicts are written through
+        to the store without flushing.
         """
         self.runtime_stats.native_backend = _native.backend_name()
         self.runtime_stats.decision_backend = self._decision_backend
@@ -1119,16 +818,6 @@ class BatchAuditEngine:
             results.append(outcome)
         return results
 
-    # -- decision dispatch ---------------------------------------------------------
-
-    def _pool_threshold(self) -> int:
-        """Pending-decision count above which forking beats staying serial."""
-        if self.parallel_threshold is not None:
-            return max(1, self.parallel_threshold) if self.parallel_threshold else 1
-        size = self._universe.space.size  # 2^n on hypercubes
-        per_task_work = max(1, size * size)  # criteria sweep ≈ 4^n
-        return max(MIN_PARALLEL_DECISIONS, MIN_PARALLEL_WORK // per_task_work)
-
     def _apply_breaker(self, task: DecisionTask) -> DecisionTask:
         """Pin the task to the exact path when the breaker refuses its stage.
 
@@ -1171,263 +860,14 @@ class BatchAuditEngine:
             stats.degraded_decisions += 1
 
     def _decide_batch(self, tasks: List[DecisionTask]) -> List[DecisionOutcome]:
-        workers = os.cpu_count() if self.n_workers is None else self.n_workers
-        self.pool_engaged = False
-        if workers and workers > 1 and len(tasks) >= self._pool_threshold():
-            # Outcomes arrive asynchronously, so the breaker's view is
-            # batch-granular here: pinning applies from the next batch on.
-            tasks = [self._apply_breaker(task) for task in tasks]
-            outcomes = self._decide_parallel(tasks, workers)
-            for outcome in outcomes:
-                self._record_outcome(outcome)
-            return outcomes
-        # Serial: feed the breaker per decision, so repeated certificate
-        # failures pin the *rest of this batch* to the exact path.
+        """Decide the tasks in order, in this process.
+
+        The breaker is fed per decision, so repeated certificate failures
+        pin the *rest of this batch* to the exact path.
+        """
         outcomes = []
         for task in tasks:
             outcome = _decide_task(self._apply_breaker(task))
             self._record_outcome(outcome)
             outcomes.append(outcome)
         return outcomes
-
-    def _decide_parallel(
-        self, tasks: List[DecisionTask], workers: int
-    ) -> List[DecisionOutcome]:
-        """Fan tasks out to a process pool, surviving pool loss.
-
-        Verdicts returned by healthy workers are always kept; only the
-        tasks a broken pool lost are resubmitted (fresh pool, jittered
-        backoff), and whatever still remains after the retry budget is
-        decided in-process.  All of it is counted on ``runtime_stats``.
-        """
-        results: List[Optional[DecisionOutcome]] = [None] * len(tasks)
-        pending = list(range(len(tasks)))
-        self.retry.reset()
-        shm, slots, pool_shape, pool_count = self._share_tensors(tasks)
-        context = self._task_context(shm, pool_shape, pool_count)
-        try:
-            for attempt in range(1, self.retry.max_attempts + 1):
-                survivors = self._pool_round(
-                    tasks, pending, workers, results, context, slots
-                )
-                if not survivors:
-                    return results  # type: ignore[return-value]
-                self.runtime_stats.pool_failures += 1
-                if attempt < self.retry.max_attempts:
-                    self.runtime_stats.tasks_resubmitted += len(survivors)
-                    self.runtime_stats.pool_retries += 1
-                    self.retry.backoff()
-                pending = survivors
-            # The pool never came back: finish the remainder in this process.
-            # (The worker-crash fault probe is inert here, so this terminates.)
-            self.runtime_stats.tasks_recovered_serial += len(pending)
-            for idx in pending:
-                results[idx] = _decide_task(tasks[idx]).with_degradation(
-                    "pool-lost:serial-recovery"
-                )
-            return results  # type: ignore[return-value]
-        finally:
-            if shm is not None:
-                # The parent is the pool's sole owner: close the local
-                # mapping and unlink the segment once the batch is done.
-                shm.close()
-                try:
-                    shm.unlink()
-                except (FileNotFoundError, OSError):  # pragma: no cover
-                    pass
-
-    def _share_tensors(self, tasks: List[DecisionTask]) -> Tuple[
-        Optional[shared_memory.SharedMemory],
-        Optional[List[Optional[int]]],
-        Optional[Tuple[int, ...]],
-        int,
-    ]:
-        """Pack the batch's gap tensors into one shared-memory pool.
-
-        Returns ``(segment, slots, shape, count)`` where ``slots[i]`` is
-        task ``i``'s row in the pool (``None`` for tensor-less tasks).  A
-        ``None`` segment means no pool: either the batch carries no tensors
-        at all (possibilistic assumptions) or the segment could not be
-        created — the latter is counted as ``shm_degraded`` and tasks fall
-        back to pickling their tensors inline, verdicts unchanged.
-        """
-        shapes = {t.tensor.shape for t in tasks if t.tensor is not None}
-        if len(shapes) != 1:
-            return None, None, None, 0  # no tensors (or heterogeneous)
-        shape = shapes.pop()
-        count = sum(1 for t in tasks if t.tensor is not None)
-        nbytes = count * int(np.prod(shape)) * np.dtype(np.float64).itemsize
-        try:
-            shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
-            pool = np.ndarray((count,) + shape, dtype=np.float64, buffer=shm.buf)
-        except (OSError, ValueError):
-            self.runtime_stats.shm_degraded += 1
-            return None, None, None, 0
-        slots: List[Optional[int]] = [None] * len(tasks)
-        slot = 0
-        for i, task in enumerate(tasks):
-            if task.tensor is not None:
-                pool[slot] = task.tensor
-                slots[i] = slot
-                slot += 1
-        return shm, slots, shape, count
-
-    def _task_context(
-        self,
-        shm: Optional[shared_memory.SharedMemory] = None,
-        tensor_shape: Optional[Tuple[int, ...]] = None,
-        tensor_count: int = 0,
-    ) -> _TaskContext:
-        """The batch-constant task half shipped via the worker initializer."""
-        return _TaskContext(
-            assumption_value=self._policy.assumption.value,
-            atol=self._atol,
-            audited=self._audited,
-            budget_seconds=self.decision_budget,
-            use_sos=self.use_sos,
-            shm_name=None if shm is None else shm.name,
-            tensor_shape=tensor_shape,
-            tensor_count=tensor_count,
-        )
-
-    def _chunk_cap(self, pending_count: int, workers: int) -> int:
-        """Tasks per future for this round (explicit, adaptive, or fair)."""
-        if self.chunk_size is not None:
-            size = max(1, int(self.chunk_size))
-        else:
-            ewma = self.dispatch_stats.task_cost_ewma
-            if ewma is not None and ewma > 0.0:
-                size = int(round(CHUNK_TARGET_SECONDS / ewma))
-            else:
-                size = DEFAULT_CHUNK_SIZE
-            size = max(1, min(size, MAX_CHUNK_SIZE))
-        fair = math.ceil(pending_count / max(1, workers))
-        return max(1, min(size, fair))
-
-    def pool_break_even(self, workers: Optional[int] = None) -> Optional[float]:
-        """Estimated batch size beyond which the pool beats staying serial.
-
-        Solves ``t·c  >  s + t·d + t·c/w`` for the task count ``t``, with
-        ``c`` the measured per-task decision cost (EWMA), ``d`` the measured
-        per-task dispatch overhead, ``s`` the measured pool setup cost and
-        ``w`` the worker count: ``t* = s / (c·(1 − 1/w) − d)``.  Returns
-        ``None`` before any pool round has produced measurements (or when
-        ``w <= 1``), and ``math.inf`` when dispatch overhead eats the whole
-        parallel speedup — i.e. the pool *never* pays off at this ``w``.
-        """
-        if workers is None:
-            workers = os.cpu_count() if self.n_workers is None else self.n_workers
-        stats = self.dispatch_stats
-        cost = stats.task_cost_ewma
-        if not workers or workers <= 1 or cost is None or cost <= 0.0:
-            return None
-        overhead = stats.per_task_overhead() or 0.0
-        setup = stats.pool_setup_cost() or 0.0
-        gain_per_task = cost * (1.0 - 1.0 / workers) - overhead
-        if gain_per_task <= 0.0:
-            return math.inf
-        return setup / gain_per_task
-
-    def _submit_chunk(
-        self,
-        pool: ProcessPoolExecutor,
-        tasks: List[DecisionTask],
-        chunk: List[int],
-        futures: Dict[Future, List[int]],
-        slots: Optional[List[Optional[int]]] = None,
-    ) -> None:
-        if not chunk:
-            return
-        slims = tuple(
-            _SlimTask(
-                disclosed=tasks[idx].disclosed,
-                # A pooled tensor ships as a slot index; only slot-less
-                # tensors (no pool, or pool creation failed) pickle inline.
-                tensor=(
-                    None
-                    if slots is not None and slots[idx] is not None
-                    else tasks[idx].tensor
-                ),
-                pinned=tasks[idx].pinned,
-                tensor_slot=None if slots is None else slots[idx],
-                symbolic=tasks[idx].symbolic,
-            )
-            for idx in chunk
-        )
-        futures[pool.submit(_decide_chunk, slims)] = list(chunk)
-        self.dispatch_stats.chunks_shipped += 1
-        self.dispatch_stats.tasks_shipped += len(chunk)
-
-    def _pool_round(
-        self,
-        tasks: List[DecisionTask],
-        pending: List[int],
-        workers: int,
-        results: List[Optional[DecisionOutcome]],
-        context: Optional[_TaskContext] = None,
-        slots: Optional[List[Optional[int]]] = None,
-    ) -> List[int]:
-        """One pool pass over ``pending``; returns the indices still missing.
-
-        Tasks ship in chunks — one future per :meth:`_chunk_cap` tasks, each
-        carrying only its slim per-pair payload (the constant half travels
-        once per worker via the initializer).  Tolerates a pool that breaks
-        at any point — creation, submission, or mid-execution.  Futures that
-        completed before the break keep their results; everything else is
-        reported back as a survivor.  The injected pickle-failure probe is
-        still consulted once per *task* (chaos schedules keep per-task
-        granularity), and tasks already probed when a failure fires are
-        shipped as a partial chunk — completed work is never thrown away.
-        """
-        stats = self.dispatch_stats
-        futures: Dict[Future, List[int]] = {}
-        if context is None:
-            context = self._task_context()
-        setup_started = time.monotonic()
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(pending)),
-                initializer=_init_pool_worker,
-                initargs=(context,),
-            )
-        except (OSError, ValueError, RuntimeError):
-            return list(pending)  # this environment cannot fork at all
-        stats.rounds += 1
-        stats.pool_setup_seconds += time.monotonic() - setup_started
-        chunk_cap = self._chunk_cap(len(pending), min(workers, len(pending)))
-        stats.last_chunk_size = chunk_cap
-        try:
-            with pool:
-                submit_started = time.monotonic()
-                try:
-                    chunk: List[int] = []
-                    for idx in pending:
-                        if faults.fire(faults.PICKLE_FAILURE):
-                            self.runtime_stats.faults_injected += 1
-                            self._submit_chunk(pool, tasks, chunk, futures, slots)
-                            raise PicklingError(
-                                "injected task-dispatch pickle failure "
-                                "(chaos harness)"
-                            )
-                        chunk.append(idx)
-                        if len(chunk) >= chunk_cap:
-                            self._submit_chunk(pool, tasks, chunk, futures, slots)
-                            chunk = []
-                    self._submit_chunk(pool, tasks, chunk, futures, slots)
-                except (BrokenProcessPool, PicklingError, OSError, RuntimeError):
-                    pass  # already-submitted futures still drain below
-                finally:
-                    stats.submit_seconds += time.monotonic() - submit_started
-                for future in as_completed(futures):
-                    indices = futures[future]
-                    try:
-                        outcomes = future.result()
-                    except (BrokenProcessPool, PicklingError, OSError):
-                        continue  # lost with the pool; caller resubmits
-                    self.pool_engaged = True
-                    for idx, outcome in zip(indices, outcomes):
-                        results[idx] = outcome
-                        stats.observe_task_cost(outcome.elapsed)
-        except (BrokenProcessPool, OSError):
-            pass  # pool shutdown itself failed; survivors cover the loss
-        return [idx for idx in pending if results[idx] is None]

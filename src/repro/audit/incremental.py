@@ -167,7 +167,6 @@ class IncrementalAuditor:
         universe: CandidateUniverse,
         policy: AuditPolicy,
         store: Optional[VerdictStoreBase] = None,
-        n_workers: int = 1,
         fast_path: bool = True,
         decision_budget: Optional[float] = None,
         decision_backend: str = "auto",
@@ -176,13 +175,11 @@ class IncrementalAuditor:
 
         self._universe = universe
         self._policy = policy
-        self.n_workers = n_workers
         self.fast_path = fast_path
         self.decision_budget = decision_budget
         self._engine = BatchAuditEngine(
             universe,
             policy,
-            n_workers=n_workers,
             decision_budget=decision_budget,
             store=store,
             decision_backend=decision_backend,
@@ -419,7 +416,6 @@ class IncrementalAuditor:
             self.reset()
         new_events = events[len(self._consumed) :]
 
-        self._engine.n_workers = self.n_workers
         self._engine.decision_budget = self.decision_budget
         if new_events:
             suffix_report = self._engine.audit_log(DisclosureLog(new_events))

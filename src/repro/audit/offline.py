@@ -46,13 +46,11 @@ def make_decider(
     atol: Optional[float] = None,
     use_sos: bool = False,
     exact_only: bool = False,
-    exact_kernel: str = "batched",
 ):
     """Build the ``Safe_K(A, B)`` decision callable for one prior family.
 
     Standalone so both the per-event :class:`OfflineAuditor` path and the
-    batched :class:`~repro.audit.engine.BatchAuditEngine` (including its
-    pool workers, which rebuild deciders in subprocesses) construct
+    batched :class:`~repro.audit.engine.BatchAuditEngine` construct
     identical pipelines.
 
     ``use_sos`` enables the sum-of-squares certificate stage of the
@@ -64,9 +62,6 @@ def make_decider(
     ignored by the other families.  The product and log-supermodular
     deciders additionally accept a ``budget=`` keyword (a
     :class:`~repro.runtime.Budget`) bounding the decision's wall clock.
-    ``exact_kernel`` selects the Bernstein implementation of the
-    product-family exact stage (``"batched"``/``"scalar"``, see
-    :func:`~repro.probabilistic.exact.decide_product_safety`).
     """
     rng = rng or np.random.default_rng(0)
     if assumption is PriorAssumption.PRODUCT:
@@ -76,7 +71,6 @@ def make_decider(
             rng=rng,
             use_sos=use_sos and not exact_only,
             use_optimizer=not exact_only,
-            exact_kernel=exact_kernel,
             **kwargs,
         ).audit
     if assumption is PriorAssumption.LOG_SUPERMODULAR:
@@ -134,7 +128,7 @@ class AuditReport:
     ``cache_stats`` carries the engine's verdict-cache hit/miss counters
     when the report was produced by the batched path (``None`` otherwise);
     ``runtime_stats`` likewise carries the engine's resilience counters
-    (pool failures survived, breaker trips, budget expiries) — all zeros
+    (breaker trips, budget expiries, store failures) — all zeros
     on a clean run.  ``store_stats`` is the persistent verdict store's
     counters when one was attached (``None`` otherwise).
     ``backend_counts`` maps each deciding backend name (``"mask"``,
@@ -262,15 +256,13 @@ class OfflineAuditor:
     def audit_log(
         self,
         log: DisclosureLog,
-        n_workers: int = 1,
         decision_budget: Optional[float] = None,
     ) -> AuditReport:
         """Audit every event of the log against the policy's audit query.
 
         Delegates to the batched :class:`~repro.audit.engine.BatchAuditEngine`:
-        each unique query answer is compiled once, each unique ``(A, B)``
-        decision runs once (memoised across calls on this auditor), and with
-        ``n_workers > 1`` independent decisions fan out to a process pool.
+        each unique query answer is compiled once and each unique ``(A, B)``
+        decision runs once (memoised across calls on this auditor).
         Verdict statuses are identical to the per-event path; see the engine
         docs for the one caveat on optimiser witnesses.
 
@@ -285,10 +277,8 @@ class OfflineAuditor:
             self._engine = BatchAuditEngine(
                 self._universe,
                 self._policy,
-                n_workers=n_workers,
                 decision_backend=self.decision_backend,
             )
-        self._engine.n_workers = n_workers
         self._engine.decision_budget = decision_budget
         return self._engine.audit_log(log)
 
@@ -297,7 +287,6 @@ class OfflineAuditor:
         log: DisclosureLog,
         since: Optional[int] = None,
         store: Optional[VerdictStoreBase] = None,
-        n_workers: int = 1,
         fast_path: bool = True,
         decision_budget: Optional[float] = None,
     ) -> AuditReport:
@@ -325,12 +314,10 @@ class OfflineAuditor:
                 self._universe,
                 self._policy,
                 store=store,
-                n_workers=n_workers,
                 fast_path=fast_path,
                 decision_budget=decision_budget,
                 decision_backend=self.decision_backend,
             )
-        self._incremental.n_workers = n_workers
         self._incremental.fast_path = fast_path
         self._incremental.decision_budget = decision_budget
         return self._incremental.audit_log(log, since=since)

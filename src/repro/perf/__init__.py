@@ -1,27 +1,22 @@
 """Performance instrumentation shared by the audit engine and benchmarks.
 
 Small, dependency-free helpers: :class:`CacheStats` counters (surfaced on
-:class:`~repro.audit.offline.AuditReport` and by the interval oracles),
-a :class:`Stopwatch` for wall-clock sections, and the ``BENCH_*.json``
-artifact writer used to track the perf trajectory across PRs.
+:class:`~repro.audit.offline.AuditReport` and by the interval oracles) and
+:func:`machine_info`, the environment stamp a benchmark records beside its
+numbers.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import platform
 import sys
-import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict
 
 __all__ = [
     "CacheStats",
-    "Stopwatch",
     "machine_info",
-    "write_bench_json",
 ]
 
 
@@ -60,35 +55,14 @@ class CacheStats:
         return f"{self.hits} hits / {self.misses} misses ({self.hit_rate:.1%})"
 
 
-class Stopwatch:
-    """Context manager measuring a wall-clock section.
-
-    >>> with Stopwatch() as clock:
-    ...     do_work()
-    >>> clock.elapsed  # seconds
-    """
-
-    def __init__(self) -> None:
-        self.elapsed: float = 0.0
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.elapsed = time.perf_counter() - self._start
-        self._start = None
-
-
 def machine_info() -> Dict[str, Any]:
-    """The environment fields stamped into every bench artifact.
+    """The environment fields stamped beside every benchmark result.
 
     Besides the interpreter and host, this records the NumPy version and
     which decision-kernel backend (``native`` or ``numpy-fallback``) was
     selected — a bench number is meaningless without knowing which kernel
     produced it.  Lazy imports keep this module dependency-free for
-    callers that never write artifacts.
+    callers that only need :class:`CacheStats`.
     """
     info: Dict[str, Any] = {
         "python": sys.version.split()[0],
@@ -120,19 +94,3 @@ def machine_info() -> Dict[str, Any]:
     except Exception:  # pragma: no cover - backend probing must never fail
         info["decision_backend"] = None
     return info
-
-
-def write_bench_json(
-    path: Union[str, pathlib.Path], document: Dict[str, Any]
-) -> pathlib.Path:
-    """Write a ``BENCH_*.json`` artifact (machine info added under ``env``).
-
-    The artifact is the cross-PR perf record: benchmarks append measured
-    events/sec, cache hit rates and speedups here so regressions are visible
-    in review diffs.
-    """
-    path = pathlib.Path(path)
-    document = dict(document)
-    document.setdefault("env", machine_info())
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path

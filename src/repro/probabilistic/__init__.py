@@ -24,9 +24,6 @@ from .distributions import (
 from .exact import (
     DEFAULT_FRONTIER_BATCH,
     BernsteinDecision,
-    bernstein_range,
-    bernstein_split,
-    decide_nonnegative_on_box,
     decide_nonnegative_on_box_batched,
     decide_product_safety,
     power_tensor_to_bernstein,
@@ -111,8 +108,6 @@ __all__ = [
     "SupermodularAuditor",
     "UnconstrainedFamily",
     "audit_unconstrained",
-    "bernstein_range",
-    "bernstein_split",
     "box",
     "box_count",
     "box_count_tensor",
@@ -125,7 +120,6 @@ __all__ = [
     "compose_safe_disclosures",
     "conditioned_bernoulli",
     "critical_coordinates",
-    "decide_nonnegative_on_box",
     "decide_nonnegative_on_box_batched",
     "decide_product_safety",
     "definition_matrix",

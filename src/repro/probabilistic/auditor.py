@@ -96,11 +96,6 @@ class ProbabilisticAuditor:
         :meth:`audit` call may also bring its own.  Expiry degrades the
         pipeline (optional stages are skipped, the exact stage stops at its
         next poll); it never raises out of :meth:`audit`.
-    exact_kernel:
-        Which Bernstein branch-and-bound implementation the exact stage
-        runs: ``"batched"`` (frontier-batched, the default) or ``"scalar"``
-        (one box per iteration).  Verdicts agree up to subdivision tie
-        order; see :func:`decide_product_safety`.
     """
 
     def __init__(
@@ -113,7 +108,6 @@ class ProbabilisticAuditor:
         rng: Optional[np.random.Generator] = None,
         atol: Optional[float] = None,
         budget: Optional[Budget] = None,
-        exact_kernel: str = "batched",
     ) -> None:
         if not isinstance(space, HypercubeSpace):
             raise TypeError("the probabilistic auditor works over hypercube spaces")
@@ -125,7 +119,6 @@ class ProbabilisticAuditor:
         self._rng = rng or np.random.default_rng(0)
         self._atol = atol
         self._budget = budget
-        self._exact_kernel = exact_kernel
 
     @property
     def space(self) -> HypercubeSpace:
@@ -242,7 +235,6 @@ class ProbabilisticAuditor:
                 disclosed,
                 tensor=tensor,
                 budget=budget,
-                kernel=self._exact_kernel,
                 **kwargs,
             )
             trace.append(str(verdict))

@@ -17,24 +17,19 @@ and bound over sub-boxes therefore terminates with either
 * ``UNKNOWN`` when the iteration budget runs out (boundary cases thinner
   than ``atol``).
 
-Two kernels implement the same decision:
-
-* the **scalar kernel** (:func:`decide_nonnegative_on_box`) — the reference
-  best-first heap loop, one box per Python iteration;
-* the **frontier-batched kernel** (:func:`decide_nonnegative_on_box_batched`,
-  the default of :func:`decide_product_safety`) — the live frontier is one
-  stacked ``(K, 3, …, 3)`` coefficient array plus ``(K, n)`` bounds, and
-  each round runs *one* vectorised pass over the best-``K`` slice:
-  de Casteljau split along per-box worst axes, min/max enclosure, corner
-  witness check and prune.  Verdicts are identical up to heap tie order
-  (witness points and ``boxes_explored`` may differ where several boxes
-  share a lower bound); the per-box Python overhead amortises over the
-  whole slice.
+The kernel is **frontier-batched** (:func:`decide_nonnegative_on_box_batched`):
+the live frontier is one stacked ``(K, 3, …, 3)`` coefficient array plus
+``(K, n)`` bounds, and each round runs *one* vectorised pass over the
+best-``K`` slice: de Casteljau split along per-box worst axes, min/max
+enclosure, corner witness check and prune, so the per-box Python overhead
+amortises over the whole slice.  The one-box-per-iteration heap loop it
+replaced lives on in the test suite as its oracle: verdicts agree up to
+heap tie order (witness points and ``boxes_explored`` may differ where
+several boxes share a lower bound).
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,28 +80,6 @@ def power_tensor_to_bernstein(tensor: np.ndarray) -> np.ndarray:
     return result
 
 
-def bernstein_split(coeffs: np.ndarray, axis: int) -> Tuple[np.ndarray, np.ndarray]:
-    """De Casteljau subdivision of a degree-2 Bernstein tensor along one axis.
-
-    Splits the unit interval of ``axis`` at its midpoint; both halves are
-    reparametrised to ``[0,1]``.
-    """
-    b0 = np.take(coeffs, 0, axis=axis)
-    b1 = np.take(coeffs, 1, axis=axis)
-    b2 = np.take(coeffs, 2, axis=axis)
-    m01 = 0.5 * (b0 + b1)
-    m12 = 0.5 * (b1 + b2)
-    mid = 0.5 * (m01 + m12)
-    left = np.stack([b0, m01, mid], axis=axis)
-    right = np.stack([mid, m12, b2], axis=axis)
-    return left, right
-
-
-def bernstein_range(coeffs: np.ndarray) -> Tuple[float, float]:
-    """The enclosure ``[min coeff, max coeff] ⊇ range of the polynomial``."""
-    return float(coeffs.min()), float(coeffs.max())
-
-
 @lru_cache(maxsize=None)
 def _corner_picks(n: int) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
     """The corner index table for ``(3,)*n`` Bernstein tensors, per dimension.
@@ -125,18 +98,6 @@ def _corner_picks(n: int) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
     return picks, gather
 
 
-def _corner_values(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact polynomial values at the box corners (corner Bernstein coefficients).
-
-    Returns the value vector and the per-corner index rows (0 = low end of
-    the axis, 2 = high end).
-    """
-    picks, gather = _corner_picks(coeffs.ndim)
-    if coeffs.ndim == 0:
-        return coeffs.reshape(1), picks
-    return coeffs[gather], picks
-
-
 @lru_cache(maxsize=None)
 def _corner_flat(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Corner positions of a C-order-flattened ``(3,)*n`` tensor, per dimension.
@@ -149,19 +110,6 @@ def _corner_flat(n: int) -> Tuple[np.ndarray, np.ndarray]:
     picks, _ = _corner_picks(n)
     weights = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return picks @ weights, picks
-
-
-def _split_axis(coeffs: np.ndarray) -> int:
-    """The axis with the largest adjacent-coefficient variation.
-
-    All ``n`` axis views are stacked once so a single
-    ``np.abs(np.diff(...))`` reduction replaces the former per-axis Python
-    list comprehension.
-    """
-    n = coeffs.ndim
-    views = np.stack([np.moveaxis(coeffs, axis, 0).reshape(3, -1) for axis in range(n)])
-    variations = np.abs(np.diff(views, axis=1)).max(axis=(1, 2))
-    return int(np.argmax(variations))
 
 
 def _split_axes_batch(
@@ -234,7 +182,7 @@ def _lazy_split_axes(
     """Exact per-box worst split axes, evaluating as few axes as possible.
 
     Equivalent to ``argmax`` over all ``n`` per-axis variations (first index
-    wins ties, matching :func:`_split_axis`), but gated by the inherited
+    wins ties), but gated by the inherited
     per-axis upper bounds in ``ubs``: an axis is only measured when its bound
     could still beat the best axis measured so far.  Since subdividing halves
     the split axis's bound and leaves the others, most boxes resolve after
@@ -289,68 +237,6 @@ class BernsteinDecision:
     @property
     def decided(self) -> bool:
         return self.nonnegative is not None
-
-
-def decide_nonnegative_on_box(
-    tensor: np.ndarray,
-    atol: float = DEFAULT_ATOL,
-    max_boxes: int = 200_000,
-    budget: Optional[Budget] = None,
-) -> BernsteinDecision:
-    """Decide ``g ≥ −atol`` on ``[0,1]^n`` for a degree-≤2-per-variable ``g``.
-
-    ``tensor`` holds power-basis coefficients with shape ``(3,)*n``.
-    Best-first branch and bound on the Bernstein lower bound.  An expired
-    ``budget`` (polled every :data:`_BUDGET_CHECK_EVERY` boxes) stops the
-    search with an undecided result — sound, since undecided carries the
-    best certified lower bound found so far.
-    """
-    n = tensor.ndim
-    root = power_tensor_to_bernstein(tensor)
-    # Each heap entry: (lower_bound, counter, coeffs, (lo, hi) per axis).
-    counter = itertools.count()
-    lo0 = np.zeros(n)
-    hi0 = np.ones(n)
-    heap: List[Tuple[float, int, np.ndarray, np.ndarray, np.ndarray]] = []
-    explored = 0
-
-    def push(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
-        """Queue a box unless it is certified; return a witness if one pops out."""
-        lower, _ = bernstein_range(coeffs)
-        if lower >= -atol:
-            return None  # certified nonnegative on this box; prune
-        corners, picks = _corner_values(coeffs)
-        worst = int(np.argmin(corners))
-        if corners[worst] < -atol:
-            # Corner coefficients are exact evaluations: immediate witness.
-            return np.where(picks[worst] == 2, hi, lo)
-        heapq.heappush(heap, (lower, next(counter), coeffs, lo, hi))
-        return None
-
-    witness = push(root, lo0, hi0)
-    if witness is not None:
-        return BernsteinDecision(False, float(root.min()), witness, 1)
-    poller = None if budget is None else budget.poller(_BUDGET_CHECK_EVERY)
-    while heap and explored < max_boxes:
-        if poller is not None and poller.charge(1):
-            break  # deadline passed: report undecided with the frontier bound
-        lower, _, coeffs, lo, hi = heapq.heappop(heap)
-        explored += 1
-        # Split along the axis with the largest coefficient variation.
-        axis = _split_axis(coeffs)
-        mid = 0.5 * (lo[axis] + hi[axis])
-        for half, (new_lo_val, new_hi_val) in zip(
-            bernstein_split(coeffs, axis), ((lo[axis], mid), (mid, hi[axis]))
-        ):
-            new_lo = lo.copy()
-            new_hi = hi.copy()
-            new_lo[axis], new_hi[axis] = new_lo_val, new_hi_val
-            witness = push(half, new_lo, new_hi)
-            if witness is not None:
-                return BernsteinDecision(False, lower, witness, explored)
-    if not heap:
-        return BernsteinDecision(True, -atol, None, explored)
-    return BernsteinDecision(None, heap[0][0], None, explored)
 
 
 class _Frontier:
@@ -517,14 +403,14 @@ def decide_nonnegative_on_box_batched(
     budget: Optional[Budget] = None,
     batch_size: int = DEFAULT_FRONTIER_BATCH,
 ) -> BernsteinDecision:
-    """Frontier-batched counterpart of :func:`decide_nonnegative_on_box`.
+    """Decide ``g ≥ −atol`` on ``[0,1]^n`` for a degree-≤2-per-variable ``g``.
 
+    ``tensor`` holds power-basis coefficients with shape ``(3,)*n``.
     Best-first order is preserved at round granularity: each round extracts
     the ``batch_size`` boxes with the least Bernstein lower bounds and
     processes the whole slice in stacked numpy passes — per-box worst-axis
     selection, de Casteljau split (grouped by axis), enclosure bounds,
-    corner-witness scan, prune.  Verdicts match the scalar kernel up to
-    heap tie order; an expired ``budget`` (polled between rounds through a
+    corner-witness scan, prune.  An expired ``budget`` (polled between rounds through a
     :class:`~repro.runtime.BudgetPoller`) soundly stops the search with the
     frontier's certified lower bound.
     """
@@ -630,8 +516,7 @@ def decide_nonnegative_on_box_batched(
             left = children[:count].reshape((count,) + shape3)
             right = children[count:].reshape((count,) + shape3)
             # De Casteljau per axis run, written straight into the child
-            # buffer: m01 = (b0+b1)/2, m12 = (b1+b2)/2, mid = (m01+m12)/2 —
-            # bit-for-bit the arithmetic of :func:`bernstein_split`.
+            # buffer: m01 = (b0+b1)/2, m12 = (b1+b2)/2, mid = (m01+m12)/2.
             start = 0
             while start < count:
                 axis = int(axes[start])
@@ -699,13 +584,6 @@ def decide_nonnegative_on_box_batched(
     return BernsteinDecision(None, frontier.best(), None, explored)
 
 
-#: Kernel registry for :func:`decide_product_safety`'s ``kernel=`` knob.
-_KERNELS = {
-    "batched": decide_nonnegative_on_box_batched,
-    "scalar": decide_nonnegative_on_box,
-}
-
-
 def decide_product_safety(
     audited: PropertySet,
     disclosed: PropertySet,
@@ -713,7 +591,6 @@ def decide_product_safety(
     max_boxes: int = 200_000,
     tensor: Optional[np.ndarray] = None,
     budget: Optional[Budget] = None,
-    kernel: str = "batched",
 ) -> AuditVerdict:
     """Decide ``Safe_{Π_m⁰}(A, B)`` rigorously (up to ``atol``) for ``n ≤ 12``.
 
@@ -724,20 +601,11 @@ def decide_product_safety(
     ``tensor`` optionally supplies a precomputed :func:`safety_gap_tensor`
     of the pair, letting batch layers share one tensor across repeated
     decisions of the same ``(A, B)`` (e.g. assumption/tolerance ablations).
-    ``kernel`` selects the branch-and-bound implementation: ``"batched"``
-    (the frontier-batched default) or ``"scalar"`` (the reference heap
-    loop) — verdicts agree up to heap tie order.
     """
     space = audited.space
     if not isinstance(space, HypercubeSpace):
         raise TypeError("product-family safety is defined on hypercube spaces")
     space.check_same(disclosed.space)
-    try:
-        decide = _KERNELS[kernel]
-    except KeyError:
-        raise ValueError(
-            f"unknown Bernstein kernel {kernel!r}; expected one of {sorted(_KERNELS)}"
-        ) from None
     if tensor is None:
         tensor = safety_gap_tensor(audited, disclosed)
     elif tensor.shape != (3,) * space.n:
@@ -745,7 +613,9 @@ def decide_product_safety(
             f"precomputed tensor has shape {tensor.shape}; "
             f"expected {(3,) * space.n}"
         )
-    decision = decide(tensor, atol=atol, max_boxes=max_boxes, budget=budget)
+    decision = decide_nonnegative_on_box_batched(
+        tensor, atol=atol, max_boxes=max_boxes, budget=budget
+    )
     if decision.nonnegative is True:
         return AuditVerdict.safe(
             "bernstein-branch-and-bound",

@@ -1,4 +1,4 @@
-"""The fault-tolerant audit runtime: budgets, retries, breakers, fault injection.
+"""The fault-tolerant audit runtime: budgets, breakers, fault injection.
 
 Halpern–Pucella's *Probabilistic Algorithmic Knowledge* frames the auditor
 as a resource-bounded agent: what it "knows" is whatever its budget lets it
@@ -6,8 +6,6 @@ compute.  This package makes that budget explicit and survivable:
 
 * :mod:`~repro.runtime.budget` — monotonic-clock deadline budgets passed
   down through the staged decision pipeline, so no stage spins unbounded;
-* :mod:`~repro.runtime.retry` — decorrelated-jitter backoff for transient
-  process-pool failures;
 * :mod:`~repro.runtime.breaker` — a deterministic (count-based) circuit
   breaker that pins decisions to the sound exact path after repeated
   certificate-stage failures;
@@ -15,7 +13,8 @@ compute.  This package makes that budget explicit and survivable:
   (verdict + stage provenance + degradation flags) and the
   :class:`RuntimeStats` counters surfaced on audit reports;
 * :mod:`~repro.runtime.faults` — seeded, reproducible fault injection for
-  chaos runs (worker crash, solver timeout, nonconvergence, pickle failure).
+  chaos runs (solver timeout, nonconvergence, store and journal writes,
+  gateway connection and executor crashes).
 
 The guiding invariant, enforced by ``tests/runtime/``: degradation changes
 latency and provenance, never the verdict — every degraded path is one of
@@ -26,7 +25,6 @@ returns a typed "unresolved" outcome instead of raising.
 from .breaker import BreakerRegistry, BreakerState, CircuitBreaker
 from .budget import Budget, BudgetPoller
 from .outcome import DecisionOutcome, RuntimeStats
-from .retry import RetryPolicy
 
 __all__ = [
     "BreakerRegistry",
@@ -35,6 +33,5 @@ __all__ = [
     "BudgetPoller",
     "CircuitBreaker",
     "DecisionOutcome",
-    "RetryPolicy",
     "RuntimeStats",
 ]

@@ -9,9 +9,10 @@ certification stages are skipped (sound — a later complete stage still
 decides), and a decision that runs completely dry returns a typed
 ``UNKNOWN("budget-exhausted")`` verdict rather than raising.
 
-Budgets deliberately do not cross process boundaries: the batch engine
-ships ``budget_seconds`` inside each task and the worker starts its own
-clock, so a task's deadline measures *decision* time, not queue time.
+A budget is created when its decision starts, not when the task is built:
+the batch engine carries ``budget_seconds`` inside each task, so a task's
+deadline measures *decision* time, not the time it waited behind the rest
+of its batch.
 """
 
 from __future__ import annotations

@@ -7,9 +7,6 @@ inert (one dict lookup against ``None``) unless a plan is installed:
 =================  ==========================================================
 site               effect at the probe point
 =================  ==========================================================
-``worker-crash``   a pool worker hard-exits (``os._exit``) before deciding —
-                   the parent observes a genuine ``BrokenProcessPool``
-``pickle-failure`` task dispatch raises :class:`pickle.PicklingError`
 ``solver-timeout`` :func:`~repro.algebraic.sdp.solve_psd_feasibility` raises
                    :class:`~repro.exceptions.StageTimeoutError`
 ``nonconvergence`` the SDP solver reports "not found within budget" without
@@ -54,14 +51,13 @@ site               effect at the probe point
 Plans activate either programmatically (:func:`install` / the
 :func:`inject` context manager) or through the environment::
 
-    REPRO_FAULTS="worker-crash:1,solver-timeout:0.5:3" REPRO_FAULTS_SEED=7 ...
+    REPRO_FAULTS="solver-timeout:0.5:3,nonconvergence:1" REPRO_FAULTS_SEED=7 ...
 
-Each spec is ``site:rate[:max_fires]``.  Because pool workers are forked,
-an installed plan (and its RNG state at fork time) is inherited by every
-worker — so a chaos run's fault schedule is a pure function of the plan,
-the seed, and the probe sequence.  Determinism caveat: counters advance in
-the process that probes them; a worker's fires are observed by the parent
-as pool failures, not as ``fired`` increments.
+Each spec is ``site:rate[:max_fires]``.  A chaos run's fault schedule is a
+pure function of the plan, the seed, and the probe sequence.  Forked
+processes (the gateway's ``--workers`` executors) inherit an installed
+plan with its RNG state at fork time; counters advance in the process
+that probes them.
 """
 
 from __future__ import annotations
@@ -83,14 +79,12 @@ __all__ = [
     "KNOWN_SITES",
     "NATIVE_LOAD",
     "NONCONVERGENCE",
-    "PICKLE_FAILURE",
     "SLOW_TENANT",
     "SOLVER_TIMEOUT",
     "STORE_SQL_WRITE",
     "STORE_WRITE",
     "SYMBOLIC_LOAD",
     "SYMBOLIC_TIMEOUT",
-    "WORKER_CRASH",
     "active",
     "fire",
     "inject",
@@ -98,8 +92,6 @@ __all__ = [
     "uninstall",
 ]
 
-WORKER_CRASH = "worker-crash"
-PICKLE_FAILURE = "pickle-failure"
 SOLVER_TIMEOUT = "solver-timeout"
 NONCONVERGENCE = "nonconvergence"
 STORE_WRITE = "store-write"
@@ -115,8 +107,6 @@ SYMBOLIC_LOAD = "symbolic-load"
 SYMBOLIC_TIMEOUT = "symbolic-timeout"
 
 KNOWN_SITES = (
-    WORKER_CRASH,
-    PICKLE_FAILURE,
     SOLVER_TIMEOUT,
     NONCONVERGENCE,
     STORE_WRITE,

@@ -35,18 +35,15 @@ class DecisionOutcome:
     stages:
         Stage provenance in execution order (the pipeline trace, plus
         wrapper events such as ``"verdict-cache"`` or
-        ``"serial-recovery"``).
+        ``"verdict-store"``).
     degraded:
         Whether the decision left its normal path (breaker pin, budget
-        skip, pipeline-error fallback, pool loss recovered serially).
+        skip, pipeline-error fallback, symbolic fallback to masks).
     degradation:
         Why, when ``degraded`` — e.g. ``"breaker-pinned"``,
-        ``"budget-exhausted"``, ``"pipeline-error:StageTimeoutError"``,
-        ``"pool-lost:serial-recovery"``.
+        ``"budget-exhausted"``, ``"pipeline-error:StageTimeoutError"``.
     retries:
-        In-process decision retries (the exact-path fallback after a
-        pipeline error), not pool resubmissions — those are counted on
-        :class:`RuntimeStats`.
+        Decision retries: the exact-path fallback after a pipeline error.
     elapsed:
         Decision wall-clock seconds (in the process that decided it).
     """
@@ -89,18 +86,12 @@ class RuntimeStats:
     least one counter here (see the README failure-modes table).
     """
 
-    pool_failures: int = 0  # broken pools / pickle failures observed
-    tasks_resubmitted: int = 0  # lost tasks resubmitted to a fresh pool
-    tasks_recovered_serial: int = 0  # lost tasks decided in-process instead
-    pool_retries: int = 0  # backoff-delayed pool attempts beyond the first
     breaker_trips: int = 0  # CLOSED → OPEN transitions this run
     breaker_pinned: int = 0  # decisions pinned to the exact path
     certificate_failures: int = 0  # certificate stages that raised/timed out
     budget_exhausted: int = 0  # decisions that ran out of deadline budget
     degraded_decisions: int = 0  # findings whose outcome is degraded
-    faults_injected: int = 0  # injector fires observed in this process
     store_failures: int = 0  # verdict-store loads/flushes that failed
-    shm_degraded: int = 0  # shared-memory tensor pools that fell back to pickling
     symbolic_degraded: int = 0  # symbolic decisions that fell back to the mask path
     #: Selected decision-kernel backend ("native"/"numpy-fallback"; "" until
     #: an audit stamped it).  Provenance, not a degradation counter: it is

@@ -93,7 +93,6 @@ class TenantShard:
             universe,
             policy,
             store=store,
-            n_workers=1,
             fast_path=fast_path,
             decision_budget=decision_budget,
         )
@@ -286,7 +285,6 @@ class ShardManager:
         self.engine = BatchAuditEngine(
             universe,
             policy,
-            n_workers=1,
             decision_budget=decision_budget,
             store=store,
         )

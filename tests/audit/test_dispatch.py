@@ -1,28 +1,15 @@
-"""Tests for the engine's pool economics: chunked dispatch, slim payloads,
-the cross-event tensor cache, and the break-even report.
+"""Tests for the engine's cross-event tensor cache.
 
-Chunking must change only the *cost* of the fan-out, never its results:
-verdicts stay bit-identical to the serial engine, and the PR-3 resilience
-semantics (per-task fault probes, partial-chunk submission, serial
-recovery) keep their guarantees — those are covered by the chaos matrix in
-``tests/runtime/test_faults.py``; here we pin the economics themselves.
+The safety-gap tensor depends only on the ``(A, B)`` pair, so duplicate
+decisions, cleared verdict caches and assumption ablations must reuse one
+tensor per pair instead of rebuilding it.
 """
 
 from __future__ import annotations
 
-import math
-
-import pytest
-
 from repro.audit import AuditPolicy, BatchAuditEngine, PriorAssumption
-from repro.audit.engine import (
-    DEFAULT_CHUNK_SIZE,
-    DispatchStats,
-    _SlimTask,
-    _TaskContext,
-)
 from repro.db import parse_boolean_query
-from repro.perf.bench import build_mixed_density_log, build_registry
+from tests.workloads import build_mixed_density_log, build_registry
 
 AUDIT_TEXT = (
     "EXISTS(SELECT * FROM diagnoses WHERE patient = 'Bob' AND disease = 'hiv')"
@@ -40,143 +27,6 @@ def make_policy(assumption=PriorAssumption.PRODUCT, name="dispatch-test"):
 def make_workload(n_events=40, seed=11):
     universe = build_registry(background_rows=16)
     return universe, build_mixed_density_log(universe, n_events=n_events, seed=seed)
-
-
-class TestChunkedDispatch:
-    def test_chunked_pool_matches_serial_verdicts(self):
-        universe, log = make_workload()
-        serial = BatchAuditEngine(universe, make_policy(), n_workers=1)
-        serial_report = serial.audit_log(log)
-        chunked = BatchAuditEngine(
-            universe, make_policy(), n_workers=2, parallel_threshold=0
-        )
-        chunked_report = chunked.audit_log(log)
-        assert chunked.pool_engaged
-        for ours, theirs in zip(chunked_report.findings, serial_report.findings):
-            assert ours.verdict.status is theirs.verdict.status
-            assert ours.verdict.method == theirs.verdict.method
-
-    def test_tasks_ship_in_chunks_not_singly(self):
-        universe, log = make_workload()
-        engine = BatchAuditEngine(
-            universe, make_policy(), n_workers=2, parallel_threshold=0
-        )
-        engine.audit_log(log)
-        stats = engine.dispatch_stats
-        assert stats.tasks_shipped == engine.cache.misses
-        # Fewer futures than tasks: the whole point of chunking.
-        assert 0 < stats.chunks_shipped < stats.tasks_shipped
-        assert stats.rounds == 1
-        assert stats.last_chunk_size is not None and stats.last_chunk_size > 1
-
-    def test_explicit_chunk_size_one_degenerates_to_per_task(self):
-        universe, log = make_workload(n_events=20)
-        engine = BatchAuditEngine(
-            universe, make_policy(), n_workers=2, parallel_threshold=0, chunk_size=1
-        )
-        engine.audit_log(log)
-        stats = engine.dispatch_stats
-        assert stats.chunks_shipped == stats.tasks_shipped == engine.cache.misses
-
-    def test_fair_share_caps_the_chunk(self):
-        universe, log = make_workload()
-        engine = BatchAuditEngine(
-            universe, make_policy(), n_workers=2, parallel_threshold=0
-        )
-        pending = engine.cache.misses or 10
-        # With no cost measurements the cap is DEFAULT_CHUNK_SIZE, further
-        # capped so both workers receive work.
-        cap = engine._chunk_cap(pending_count=10, workers=2)
-        assert cap == min(DEFAULT_CHUNK_SIZE, math.ceil(10 / 2))
-        assert engine._chunk_cap(pending_count=1000, workers=2) == DEFAULT_CHUNK_SIZE
-
-    def test_adaptive_chunk_tracks_measured_cost(self):
-        universe, _ = make_workload()
-        engine = BatchAuditEngine(
-            universe, make_policy(), n_workers=2, parallel_threshold=0
-        )
-        # Expensive tasks (100ms each): chunks shrink toward the 0.25s target.
-        engine.dispatch_stats.task_cost_ewma = 0.1
-        assert engine._chunk_cap(pending_count=1000, workers=2) == 2
-        # Cheap tasks (0.1ms): chunks grow, bounded by MAX_CHUNK_SIZE.
-        engine.dispatch_stats.task_cost_ewma = 1e-4
-        assert engine._chunk_cap(pending_count=10_000, workers=2) == 512
-
-
-class TestSlimPayloads:
-    def test_context_rebuilds_the_full_task(self):
-        universe, log = make_workload(n_events=10)
-        engine = BatchAuditEngine(universe, make_policy(), decision_budget=2.0)
-        sets = engine.compile_log(log)
-        context = engine._task_context()
-        slim = _SlimTask(disclosed=sets[0], tensor=None, pinned=True)
-        task = context.rebuild(slim)
-        assert task.audited is engine.audited_set
-        assert task.disclosed is sets[0]
-        assert task.pinned
-        assert task.budget_seconds == 2.0
-        assert task.assumption_value == PriorAssumption.PRODUCT.value
-
-    def test_context_is_batch_constant(self):
-        universe, _ = make_workload(n_events=5)
-        engine = BatchAuditEngine(universe, make_policy())
-        assert isinstance(engine._task_context(), _TaskContext)
-        assert engine._task_context() == engine._task_context()
-
-
-class TestBreakEven:
-    def test_no_data_reports_none(self):
-        universe, _ = make_workload(n_events=5)
-        engine = BatchAuditEngine(universe, make_policy(), n_workers=2)
-        assert engine.pool_break_even() is None
-
-    def test_single_worker_reports_none(self):
-        stats = DispatchStats(task_cost_ewma=0.01, tasks_shipped=10, submit_seconds=0.1)
-        universe, _ = make_workload(n_events=5)
-        engine = BatchAuditEngine(universe, make_policy(), n_workers=1)
-        engine.dispatch_stats = stats
-        assert engine.pool_break_even() is None
-
-    def test_overhead_dominated_pool_never_pays(self):
-        universe, _ = make_workload(n_events=5)
-        engine = BatchAuditEngine(universe, make_policy(), n_workers=2)
-        engine.dispatch_stats = DispatchStats(
-            tasks_shipped=100,
-            submit_seconds=1.0,  # 10ms dispatch overhead per task...
-            rounds=1,
-            pool_setup_seconds=0.1,
-            task_cost_ewma=0.001,  # ...on 1ms tasks: the pool never wins.
-        )
-        assert engine.pool_break_even() == math.inf
-
-    def test_break_even_solves_the_cost_model(self):
-        universe, _ = make_workload(n_events=5)
-        engine = BatchAuditEngine(universe, make_policy(), n_workers=2)
-        engine.dispatch_stats = DispatchStats(
-            tasks_shipped=100,
-            submit_seconds=0.01,  # d = 0.1ms
-            rounds=1,
-            pool_setup_seconds=0.2,  # s = 0.2s
-            task_cost_ewma=0.01,  # c = 10ms, w = 2
-        )
-        expected = 0.2 / (0.01 * 0.5 - 0.0001)
-        assert engine.pool_break_even() == pytest.approx(expected)
-
-    def test_pool_run_produces_measurements(self):
-        universe, log = make_workload()
-        engine = BatchAuditEngine(
-            universe, make_policy(), n_workers=2, parallel_threshold=0
-        )
-        engine.audit_log(log)
-        stats = engine.dispatch_stats
-        assert stats.task_cost_ewma is not None and stats.task_cost_ewma > 0
-        assert stats.per_task_overhead() is not None
-        assert stats.pool_setup_cost() is not None
-        break_even = engine.pool_break_even()
-        assert break_even is None or break_even > 0  # inf allowed: 1-core box
-        as_dict = stats.as_dict()
-        assert as_dict["tasks_shipped"] == stats.tasks_shipped
-        assert as_dict["per_task_overhead"] == stats.per_task_overhead()
 
 
 class TestTensorCacheSharing:

@@ -1,4 +1,4 @@
-"""Tests for the batched audit engine: verdict cache, dedupe, pool fan-out."""
+"""Tests for the batched audit engine: verdict cache, dedupe, one decision path."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from repro.db import (
     TableSchema,
     parse_boolean_query,
 )
-from repro.perf.bench import build_mixed_density_log, build_registry
+from tests.workloads import AUDIT_QUERY, build_mixed_density_log, build_registry
 
 
 @pytest.fixture
@@ -134,36 +134,34 @@ class TestEngineAgainstSeedLoop:
         assert counts["unsafe"] == 1
         assert counts["unknown"] == 0  # all statuses present even at zero
 
-
-class TestParallelDeterminism:
-    def test_two_workers_bit_identical_to_serial(self):
-        """n_workers=2 on a mixed-density log matches the serial engine."""
+    def test_mixed_density_log_matches_seed_loop(self):
+        """A duplicate-heavy log spanning every answer density: the batch
+        path equals the per-event loop cold and warm, deciding each
+        distinct pair once."""
         universe = build_registry(background_rows=16)
-        log = build_mixed_density_log(universe, n_events=40, seed=11)
+        log = build_mixed_density_log(universe, n_events=60, seed=7)
         policy = AuditPolicy(
-            audit_query=parse_boolean_query(
-                "EXISTS(SELECT * FROM diagnoses "
-                "WHERE patient = 'Bob' AND disease = 'hiv')"
-            ),
+            audit_query=parse_boolean_query(AUDIT_QUERY),
             assumption=PriorAssumption.PRODUCT,
-            name="parallel-test",
+            name="seed-loop-test",
         )
-        serial = BatchAuditEngine(universe, policy, n_workers=1)
-        serial_report = serial.audit_log(log)
-        # parallel_threshold=0 forces the pool even for a small batch.
-        parallel = BatchAuditEngine(
-            universe, policy, n_workers=2, parallel_threshold=0
-        )
-        parallel_report = parallel.audit_log(log)
-        assert parallel.pool_engaged or parallel.n_workers == 1
-        assert not serial.pool_engaged
-        for ours, theirs in zip(
-            parallel_report.findings, serial_report.findings
-        ):
-            assert ours.verdict.status is theirs.verdict.status
-            assert ours.verdict.method == theirs.verdict.method
-            assert repr(ours.verdict.witness) == repr(theirs.verdict.witness)
-        assert parallel.cache.misses == serial.cache.misses
+        seed_report = OfflineAuditor(universe, policy).audit_log_serial(log)
+        expected = [f.verdict.status for f in seed_report.findings]
+        engine = BatchAuditEngine(universe, policy)
+        cold = engine.audit_log(log)
+        warm = engine.audit_log(log)
+        assert [f.verdict.status for f in cold.findings] == expected
+        assert [f.verdict.status for f in warm.findings] == expected
+        distinct = len({s.fingerprint() for s in engine.compile_log(log)})
+        assert engine.cache.misses == distinct < len(expected)
+        for finding in warm.findings:
+            assert finding.outcome.stages == ("verdict-cache",)
+
+
+class TestOneDecisionPath:
+    def test_more_than_one_worker_is_rejected(self, hospital):
+        with pytest.raises(ValueError):
+            BatchAuditEngine(hospital, make_policy(), n_workers=2)
 
 
 class TestAblationSharing:

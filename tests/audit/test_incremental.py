@@ -30,7 +30,7 @@ from repro.core.preserving import (
 from repro.core.privacy import safe_possibilistic
 from repro.core.worlds import HypercubeSpace
 from repro.db import parse_boolean_query
-from repro.perf.bench import AUDIT_QUERY, build_mixed_density_log, build_registry
+from tests.workloads import AUDIT_QUERY, build_mixed_density_log, build_registry
 
 SEEDS = (3, 11, 29)
 
@@ -87,6 +87,29 @@ class TestEquivalence:
         assert warm_store.stats.loaded > 0
         assert warm_store.stats.hits == warm_store.stats.lookups
         assert warm_store.stats.stored == 0  # nothing new to persist
+
+    @pytest.mark.parametrize("seed", SEEDS[:2])
+    def test_prefix_primed_store_serves_grown_log(self, registry, tmp_path, seed):
+        """Yesterday's audit of a prefix, then a fresh process audits the
+        grown log: statuses equal the scratch loop, and only the appended
+        tail's new pairs are decided and stored."""
+        log = build_mixed_density_log(registry, n_events=40, seed=seed)
+        policy = make_policy()
+        path = tmp_path / "store.json"
+        primer = VerdictStore(path)
+        OfflineAuditor(registry, policy).audit_log_incremental(
+            log.before(20), store=primer
+        )
+        serial = OfflineAuditor(registry, policy).audit_log_serial(log)
+
+        warm_store = VerdictStore(path)
+        warm = OfflineAuditor(registry, policy).audit_log_incremental(
+            log, store=warm_store
+        )
+        assert statuses(warm) == statuses(serial)
+        assert warm_store.stats.loaded == primer.stats.stored > 0
+        assert warm_store.stats.hits > 0
+        assert 0 < warm_store.stats.stored == warm_store.stats.misses
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
     def test_mid_log_since(self, registry, tmp_path, seed):

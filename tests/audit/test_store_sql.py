@@ -32,8 +32,8 @@ from repro.audit.store_sql import (
 )
 from repro.core.verdict import AuditVerdict, Verdict
 from repro.db import parse_boolean_query
-from repro.perf.bench import AUDIT_QUERY, build_mixed_density_log, build_registry
 from repro.runtime import faults
+from tests.workloads import AUDIT_QUERY, build_mixed_density_log, build_registry
 
 KEY = ("a" * 32, "b" * 32, "product", 1e-9)
 KEY2 = ("a" * 32, "c" * 32, "product", 1e-9)
@@ -290,7 +290,7 @@ class TestOneProbePerAudit:
         log = build_mixed_density_log(registry, n_events=25, seed=3)
         store = open_verdict_store(tmp_path / "store", backend=backend)
         engine = BatchAuditEngine(
-            registry, make_policy(), n_workers=1, store=store
+            registry, make_policy(), store=store
         )
         engine.audit_log(log)
         assert store.stats.probes == 1
@@ -317,14 +317,14 @@ class TestBackendEquivalence:
     def test_fresh_stores_match_no_store(self, registry, tmp_path, seed):
         log = build_mixed_density_log(registry, n_events=30, seed=seed)
         reference = _statuses(
-            BatchAuditEngine(registry, make_policy(), n_workers=1).audit_log(log)
+            BatchAuditEngine(registry, make_policy()).audit_log(log)
         )
         for backend in STORE_BACKENDS:
             store = open_verdict_store(
                 tmp_path / f"fresh-{backend}", backend=backend
             )
             report = BatchAuditEngine(
-                registry, make_policy(), n_workers=1, store=store
+                registry, make_policy(), store=store
             ).audit_log(log)
             assert _statuses(report) == reference, backend
 
@@ -332,19 +332,19 @@ class TestBackendEquivalence:
     def test_warm_stores_match_no_store(self, registry, tmp_path, seed):
         log = build_mixed_density_log(registry, n_events=30, seed=seed)
         reference = _statuses(
-            BatchAuditEngine(registry, make_policy(), n_workers=1).audit_log(log)
+            BatchAuditEngine(registry, make_policy()).audit_log(log)
         )
         for backend in STORE_BACKENDS:
             path = tmp_path / f"warm-{backend}"
             primer = open_verdict_store(path, backend=backend)
             BatchAuditEngine(
-                registry, make_policy(), n_workers=1, store=primer
+                registry, make_policy(), store=primer
             ).audit_log(log)
             primer.close()
             # A fresh process resumes: every verdict served from disk.
             warm = open_verdict_store(path, backend=backend)
             report = BatchAuditEngine(
-                registry, make_policy(), n_workers=1, store=warm
+                registry, make_policy(), store=warm
             ).audit_log(log)
             assert _statuses(report) == reference, backend
             assert warm.stats.hits > 0
@@ -355,7 +355,7 @@ class TestBackendEquivalence:
         verdict — on either backend."""
         log = build_mixed_density_log(registry, n_events=30, seed=seed)
         reference = _statuses(
-            BatchAuditEngine(registry, make_policy(), n_workers=1).audit_log(log)
+            BatchAuditEngine(registry, make_policy()).audit_log(log)
         )
         # Prime both stores, then corrupt them on disk.
         json_path = tmp_path / "corrupt.json"
@@ -363,7 +363,7 @@ class TestBackendEquivalence:
         for backend, path in (("json", json_path), ("sqlite", sqlite_path)):
             primer = open_verdict_store(path, backend=backend)
             BatchAuditEngine(
-                registry, make_policy(), n_workers=1, store=primer
+                registry, make_policy(), store=primer
             ).audit_log(log)
             primer.close()
         json_path.write_text("{definitely not json")
@@ -374,7 +374,7 @@ class TestBackendEquivalence:
         for backend, path in (("json", json_path), ("sqlite", sqlite_path)):
             store = open_verdict_store(path, backend=backend)
             report = BatchAuditEngine(
-                registry, make_policy(), n_workers=1, store=store
+                registry, make_policy(), store=store
             ).audit_log(log)
             assert _statuses(report) == reference, backend
             assert store.stats.load_failures >= 1, backend

@@ -5,7 +5,7 @@ encoding choice; semantically every operation must agree with the naive
 sets-of-ints formulation.  These tests drive both backends over seeded
 random instances — Boolean operators, subset relations, and end-to-end
 ``Safe_K`` verdicts (Definition 3.1) — plus the margin/minimal-interval
-pipeline against :mod:`repro.possibilistic._reference`.
+pipeline against :mod:`tests.core.frozenset_reference`.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from repro.core import (
     WorldSpace,
     safe_possibilistic,
 )
-from repro.possibilistic import _reference
 from repro.possibilistic.families import SubcubeFamily
 from repro.possibilistic.intervals import FamilyIntervalOracle
 from repro.possibilistic.margins import SafetyMarginIndex
 from repro.possibilistic.minimal import interval_partition, minimal_intervals_to
+from tests.core import frozenset_reference as reference
 
 N_INSTANCES = 200
 
@@ -105,7 +105,7 @@ class TestSafeKEquivalence:
             audited = space.property_set(ra)
             disclosed = space.property_set(rb)
 
-            expected = _reference.ref_safe_possibilistic(pairs, ra, rb)
+            expected = reference.ref_safe_possibilistic(pairs, ra, rb)
             actual = safe_possibilistic(knowledge, audited, disclosed)
             disagreements += expected != actual
             safe_count += expected
@@ -131,8 +131,8 @@ class TestMarginPipelineEquivalence:
             space.property_set(candidates), SubcubeFamily(space)
         )
         index = SafetyMarginIndex(oracle, audited, require_tight=False)
-        ref_oracle = _reference.RefSubcubeOracle(space.n, candidates)
-        ref_margins = _reference.ref_margin_index(ref_oracle, ra)
+        ref_oracle = reference.RefSubcubeOracle(space.n, candidates)
+        ref_margins = reference.ref_margin_index(ref_oracle, ra)
 
         assert {
             w1: frozenset(index.margin(w1)) for w1 in ra & set(candidates)
@@ -141,7 +141,7 @@ class TestMarginPipelineEquivalence:
         for _ in range(40):
             rb = _random_subset(rnd, space.size)
             disclosed = space.property_set(rb)
-            assert index.test(disclosed) == _reference.ref_margin_test(
+            assert index.test(disclosed) == reference.ref_margin_test(
                 ref_margins, ra, rb
             )
 
@@ -152,17 +152,17 @@ class TestMarginPipelineEquivalence:
         oracle = FamilyIntervalOracle(
             space.property_set(candidates), SubcubeFamily(space)
         )
-        ref_oracle = _reference.RefSubcubeOracle(space.n, candidates)
+        ref_oracle = reference.RefSubcubeOracle(space.n, candidates)
         for _ in range(30):
             rt = _random_subset(rnd, space.size, allow_empty=False)
             target = space.property_set(rt)
             origin = rnd.choice(candidates)
 
-            expected = _reference.ref_minimal_intervals_to(ref_oracle, origin, rt)
+            expected = reference.ref_minimal_intervals_to(ref_oracle, origin, rt)
             actual = minimal_intervals_to(oracle, origin, target)
             assert {frozenset(item.interval) for item in actual} == set(expected)
 
-            ref_classes, ref_inf = _reference.ref_interval_partition(
+            ref_classes, ref_inf = reference.ref_interval_partition(
                 ref_oracle, origin, rt
             )
             partition = interval_partition(oracle, origin, target)

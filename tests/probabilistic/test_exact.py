@@ -19,13 +19,11 @@ from repro.algebraic.encode import (
 from repro.core import HypercubeSpace
 from repro.probabilistic import (
     ProductDistribution,
-    bernstein_range,
-    bernstein_split,
-    decide_nonnegative_on_box,
     decide_product_safety,
     power_tensor_to_bernstein,
 )
 from tests.conftest import random_pairs
+from tests.probabilistic.scalar_bernstein import bernstein_range, bernstein_split
 
 subsets3 = st.sets(st.integers(0, 7))
 points3 = st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=3, max_size=3)

@@ -1,6 +1,7 @@
 """Equivalence and soundness tests for the frontier-batched Bernstein kernel.
 
-The batched kernel must be decision-equivalent to the scalar kernel: same
+The batched kernel must be decision-equivalent to the scalar kernel kept as
+its oracle in :mod:`tests.probabilistic.scalar_bernstein`: same
 verdict on every pair, witnesses that genuinely violate safety (witness
 *points* may differ — subdivision tie order is the one permitted
 divergence), and UNKNOWN lower bounds that agree to tolerance.  The lazy
@@ -19,19 +20,17 @@ from repro.algebraic.encode import safety_gap_tensor
 from repro.core import HypercubeSpace
 from repro.probabilistic import (
     ProductDistribution,
-    decide_nonnegative_on_box,
     decide_nonnegative_on_box_batched,
-    decide_product_safety,
 )
-from repro.perf.bench import quadratic_well_tensor
 from repro.probabilistic.exact import (
     _lazy_split_axes,
     _split_axes_batch,
-    _split_axis,
     _Workspace,
 )
 from repro.runtime import Budget
 from tests.conftest import random_pairs
+from tests.probabilistic.scalar_bernstein import decide_nonnegative_on_box, split_axis
+from tests.workloads import quadratic_well_tensor
 
 #: Pairs per dimension; totals 202 seeded (A, B) pairs over n ∈ {2..8}.
 PAIR_COUNTS = {2: 40, 3: 40, 4: 40, 5: 30, 6: 25, 7: 15, 8: 12}
@@ -88,16 +87,6 @@ class TestKernelEquivalence:
             batched = decide_nonnegative_on_box_batched(tensor, atol=ATOL, max_boxes=2)
             if scalar.boxes_explored <= 1:
                 assert batched.boxes_explored == scalar.boxes_explored
-
-    def test_product_safety_kernel_knob(self):
-        space = HypercubeSpace(3)
-        a = space.property_set([1, 3, 5])
-        b = space.property_set([2, 3, 7])
-        for kernel in ("batched", "scalar"):
-            verdict = decide_product_safety(a, b, kernel=kernel)
-            assert verdict.status is not None
-        with pytest.raises(ValueError):
-            decide_product_safety(a, b, kernel="vectorised-harder")
 
 
 class TestBudgetExpiry:
@@ -214,4 +203,4 @@ class TestScalarSplitAxis:
         reference = [
             float(np.abs(np.diff(coeffs, axis=axis)).max()) for axis in range(n)
         ]
-        assert _split_axis(coeffs) == int(np.argmax(reference))
+        assert split_axis(coeffs) == int(np.argmax(reference))

@@ -21,14 +21,14 @@ from repro import _native
 from repro.algebraic.encode import safety_gap_tensor
 from repro.core import HypercubeSpace
 from repro.exceptions import NativeBackendError
-from repro.perf.bench import quadratic_well_tensor
 from repro.probabilistic import (
     ProductDistribution,
-    decide_nonnegative_on_box,
     decide_nonnegative_on_box_batched,
 )
 from repro.runtime import Budget
 from tests.conftest import random_pairs
+from tests.probabilistic.scalar_bernstein import decide_nonnegative_on_box
+from tests.workloads import quadratic_well_tensor
 
 ATOL = 1e-9
 MAX_BOXES = 4096

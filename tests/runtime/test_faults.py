@@ -1,12 +1,12 @@
 """Seeded fault-injection suite for the resilience layer.
 
-The contract under test: every injected fault class — worker crash
-mid-batch, task-dispatch pickle failure, solver timeout, forced SDP
-nonconvergence, budget exhaustion — yields verdict *statuses* identical to
-a clean serial run (budgets may soundly weaken decided verdicts to
-UNKNOWN, never flip them), records its degradation on the report's
-``runtime_stats`` and per-finding ``DecisionOutcome``, and never lets an
-exception escape ``audit_log``.
+The contract under test: every injected fault class — solver timeout,
+forced SDP nonconvergence, budget exhaustion, failed store writes, a
+failed native-kernel load — yields verdict *statuses* identical to a clean
+run (budgets may soundly weaken decided verdicts to UNKNOWN, never flip
+them), records its degradation on the report's ``runtime_stats`` and
+per-finding ``DecisionOutcome``, and never lets an exception escape
+``audit_log``.
 
 ``REPRO_FAULTS_SEED`` (the ``make chaos-smoke`` matrix) varies the fault
 schedules; every assertion here is seed-independent unless it pins its own
@@ -28,8 +28,8 @@ from repro.audit import (
 )
 from repro.core.verdict import Verdict
 from repro.db import parse_boolean_query
-from repro.perf.bench import AUDIT_QUERY, build_mixed_density_log, build_registry
 from repro.runtime import CircuitBreaker, faults
+from tests.workloads import AUDIT_QUERY, build_mixed_density_log, build_registry
 
 #: Seed for the chaos matrix (varied by `make chaos-smoke`).
 ENV_SEED = int(os.environ.get(faults.ENV_SEED, "0"))
@@ -62,8 +62,8 @@ def statuses(report: AuditReport):
 
 
 def clean_statuses(universe, policy, log, **kwargs):
-    """Reference statuses: serial engine, no faults installed."""
-    engine = BatchAuditEngine(universe, policy, n_workers=1, **kwargs)
+    """Reference statuses: the engine with no faults installed."""
+    engine = BatchAuditEngine(universe, policy, **kwargs)
     return statuses(engine.audit_log(log))
 
 
@@ -115,80 +115,6 @@ def test_dnf_encoding_compiles_to_the_intended_sets(registry):
     assert tuple(sorted(audited.members)) == _SOS_AUDIT
 
 
-class TestWorkerCrash:
-    def test_total_pool_loss_recovers_serially_verdict_identical(
-        self, registry, mixed_log
-    ):
-        policy = make_policy()
-        reference = clean_statuses(registry, policy, mixed_log)
-        engine = BatchAuditEngine(
-            registry, policy, n_workers=2, parallel_threshold=0
-        )
-        with faults.inject("worker-crash:1", seed=ENV_SEED):
-            report = engine.audit_log(mixed_log)
-        assert statuses(report) == reference
-        stats = report.runtime_stats
-        n_unique = engine.cache.misses
-        assert stats.pool_failures >= 1
-        assert stats.tasks_recovered_serial == n_unique
-        assert stats.degraded_decisions == n_unique
-        # Every decided finding records the recovery in its provenance.
-        for finding in report.findings:
-            assert finding.outcome is not None
-            if finding.outcome.stages[-1:] != ("verdict-cache",):
-                assert finding.outcome.degraded
-                assert "serial-recovery" in finding.outcome.degradation
-
-    def test_serial_engine_never_crashes_itself(self, registry, mixed_log):
-        policy = make_policy()
-        reference = clean_statuses(registry, policy, mixed_log)
-        engine = BatchAuditEngine(registry, policy, n_workers=1)
-        with faults.inject("worker-crash:1", seed=ENV_SEED):
-            report = engine.audit_log(mixed_log)
-        # The probe is gated on being a pool worker: serial runs are immune.
-        assert statuses(report) == reference
-        assert not report.runtime_stats.any_degradation
-
-
-class TestPickleFailure:
-    def test_partial_loss_keeps_completed_verdicts(self, registry, mixed_log):
-        """A dispatch failure mid-submission loses only the unsubmitted tasks.
-
-        Seed 1 is pinned: its schedule fires the (rate-0.5, max-1) probe on
-        the third submission, so exactly two tasks complete in the first
-        pool round and everything else is resubmitted once.
-        """
-        policy = make_policy()
-        reference = clean_statuses(registry, policy, mixed_log)
-        engine = BatchAuditEngine(
-            registry, policy, n_workers=2, parallel_threshold=0
-        )
-        with faults.inject("pickle-failure:0.5:1", seed=1):
-            report = engine.audit_log(mixed_log)
-        assert statuses(report) == reference
-        stats = report.runtime_stats
-        assert stats.faults_injected == 1
-        assert stats.pool_failures == 1
-        assert stats.pool_retries == 1
-        # Two tasks were submitted (and kept!) before the injected failure.
-        assert stats.tasks_resubmitted == engine.cache.misses - 2
-        assert stats.tasks_recovered_serial == 0
-        assert engine.pool_engaged
-
-    def test_persistent_dispatch_failure_degrades_to_serial(
-        self, registry, mixed_log
-    ):
-        policy = make_policy()
-        reference = clean_statuses(registry, policy, mixed_log)
-        engine = BatchAuditEngine(
-            registry, policy, n_workers=2, parallel_threshold=0
-        )
-        with faults.inject("pickle-failure:1", seed=ENV_SEED):
-            report = engine.audit_log(mixed_log)
-        assert statuses(report) == reference
-        assert report.runtime_stats.tasks_recovered_serial == engine.cache.misses
-
-
 class TestSolverTimeout:
     def test_certificate_failures_keep_verdicts_and_trip_breaker(self, registry):
         policy = sos_policy()
@@ -196,7 +122,7 @@ class TestSolverTimeout:
         reference = clean_statuses(registry, policy, log)
         breaker = CircuitBreaker(failure_threshold=1, recovery_after=100)
         engine = BatchAuditEngine(
-            registry, policy, n_workers=1, use_sos=True, breaker=breaker
+            registry, policy, use_sos=True, breaker=breaker
         )
         with faults.inject("solver-timeout:1", seed=ENV_SEED):
             report = engine.audit_log(log)
@@ -222,7 +148,7 @@ class TestSolverTimeout:
         reference = clean_statuses(registry, policy, log)
         breaker = CircuitBreaker(failure_threshold=10_000)  # effectively off
         engine = BatchAuditEngine(
-            registry, policy, n_workers=1, use_sos=True, breaker=breaker
+            registry, policy, use_sos=True, breaker=breaker
         )
         with faults.inject("solver-timeout:1", seed=ENV_SEED):
             report = engine.audit_log(log)
@@ -249,7 +175,7 @@ class TestNonconvergence:
         policy = sos_policy()
         log = sos_log()
         reference = clean_statuses(registry, policy, log)
-        engine = BatchAuditEngine(registry, policy, n_workers=1, use_sos=True)
+        engine = BatchAuditEngine(registry, policy, use_sos=True)
         with faults.inject("nonconvergence:1", seed=ENV_SEED):
             report = engine.audit_log(log)
         assert statuses(report) == reference
@@ -267,7 +193,7 @@ class TestBudget:
         policy = sos_policy()
         log = sos_log()
         reference = clean_statuses(registry, policy, log)
-        engine = BatchAuditEngine(registry, policy, n_workers=1, decision_budget=0.0)
+        engine = BatchAuditEngine(registry, policy, decision_budget=0.0)
         report = engine.audit_log(log)
         for clean, starved in zip(reference, statuses(report)):
             # Budgets degrade soundly: a decided status either survives
@@ -286,7 +212,7 @@ class TestBudget:
     def test_generous_budget_changes_nothing(self, registry, mixed_log):
         policy = make_policy()
         reference = clean_statuses(registry, policy, mixed_log)
-        engine = BatchAuditEngine(registry, policy, n_workers=1, decision_budget=60.0)
+        engine = BatchAuditEngine(registry, policy, decision_budget=60.0)
         report = engine.audit_log(mixed_log)
         assert statuses(report) == reference
         assert report.runtime_stats.budget_exhausted == 0
@@ -301,19 +227,13 @@ class TestBudget:
 
 class TestChaosMatrix:
     def test_mixed_fault_plan_is_verdict_identical(self, registry):
-        """Crashes, timeouts and nonconvergence together: provenance moves,
-        verdicts do not (no budget in the plan, so full identity holds)."""
+        """Timeouts and nonconvergence together: provenance moves, verdicts
+        do not (no budget in the plan, so full identity holds)."""
         policy = sos_policy()
         log = sos_log()
         reference = clean_statuses(registry, policy, log)
-        engine = BatchAuditEngine(
-            registry,
-            policy,
-            n_workers=2,
-            parallel_threshold=0,
-            use_sos=True,
-        )
-        plan = "worker-crash:0.4,solver-timeout:0.6,nonconvergence:0.5"
+        engine = BatchAuditEngine(registry, policy, use_sos=True)
+        plan = "solver-timeout:0.6,nonconvergence:0.5"
         with faults.inject(plan, seed=ENV_SEED):
             report = engine.audit_log(log)
         assert statuses(report) == reference
@@ -324,7 +244,7 @@ class TestChaosMatrix:
         for site in faults.KNOWN_SITES:
             auditor = OfflineAuditor(registry, make_policy(name=f"chaos-{site}"))
             with faults.inject(f"{site}:1", seed=ENV_SEED):
-                report = auditor.audit_log(mixed_log, n_workers=2)
+                report = auditor.audit_log(mixed_log)
             assert isinstance(report, AuditReport)
             assert len(report.findings) == len(mixed_log)
 
@@ -333,7 +253,7 @@ class TestProvenance:
     def test_clean_run_outcomes_are_attached_and_undegraded(
         self, registry, mixed_log
     ):
-        engine = BatchAuditEngine(registry, make_policy(), n_workers=1)
+        engine = BatchAuditEngine(registry, make_policy())
         report = engine.audit_log(mixed_log)
         assert not report.runtime_stats.any_degradation
         for finding in report.findings:
@@ -343,7 +263,7 @@ class TestProvenance:
             assert finding.outcome.verdict is finding.verdict
 
     def test_warm_rerun_provenance_is_the_cache(self, registry, mixed_log):
-        engine = BatchAuditEngine(registry, make_policy(), n_workers=1)
+        engine = BatchAuditEngine(registry, make_policy())
         engine.audit_log(mixed_log)
         warm = engine.audit_log(mixed_log)
         for finding in warm.findings:
@@ -354,7 +274,7 @@ class TestProvenance:
         monkeypatch.setenv(faults.ENV_SEED, "3")
         assert faults.active() is not None
         assert faults.fire(faults.SOLVER_TIMEOUT)
-        assert not faults.fire(faults.WORKER_CRASH)
+        assert not faults.fire(faults.NONCONVERGENCE)
         monkeypatch.delenv(faults.ENV_PLAN)
         assert faults.active() is None
         assert not faults.fire(faults.SOLVER_TIMEOUT)
@@ -371,7 +291,7 @@ class TestStoreWrite:
         policy = make_policy()
         reference = clean_statuses(registry, policy, mixed_log)
         store = VerdictStore(tmp_path / "store.json")
-        engine = BatchAuditEngine(registry, policy, n_workers=1, store=store)
+        engine = BatchAuditEngine(registry, policy, store=store)
         with faults.inject("store-write:1", seed=ENV_SEED):
             report = engine.audit_log(mixed_log)
         assert statuses(report) == reference
@@ -384,7 +304,7 @@ class TestStoreWrite:
 
         policy = make_policy()
         store = VerdictStore(tmp_path / "store.json")
-        engine = BatchAuditEngine(registry, policy, n_workers=1, store=store)
+        engine = BatchAuditEngine(registry, policy, store=store)
         with faults.inject("store-write:1:1", seed=ENV_SEED):
             engine.audit_log(mixed_log)
         assert store.stats.write_failures == 1
@@ -422,7 +342,7 @@ class TestStoreSqlWrite:
         policy = make_policy()
         reference = clean_statuses(registry, policy, mixed_log)
         store = SqliteVerdictStore(tmp_path / "store")
-        engine = BatchAuditEngine(registry, policy, n_workers=1, store=store)
+        engine = BatchAuditEngine(registry, policy, store=store)
         with faults.inject("store-sql-write:1", seed=ENV_SEED):
             report = engine.audit_log(mixed_log)
         assert statuses(report) == reference
@@ -436,7 +356,7 @@ class TestStoreSqlWrite:
 
         policy = make_policy()
         store = SqliteVerdictStore(tmp_path / "store")
-        engine = BatchAuditEngine(registry, policy, n_workers=1, store=store)
+        engine = BatchAuditEngine(registry, policy, store=store)
         with faults.inject("store-sql-write:1", seed=ENV_SEED):
             engine.audit_log(mixed_log)
         failed = store.stats.write_failures
@@ -504,7 +424,7 @@ class TestNativeLoad:
         reference = clean_statuses(registry, policy, mixed_log)
         with faults.inject("native-load:1", seed=ENV_SEED):
             _native.configure("auto")
-            engine = BatchAuditEngine(registry, policy, n_workers=1)
+            engine = BatchAuditEngine(registry, policy)
             report = engine.audit_log(mixed_log)
         assert statuses(report) == reference
         assert report.runtime_stats.native_backend == "numpy-fallback"

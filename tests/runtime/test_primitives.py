@@ -21,7 +21,6 @@ from repro.runtime import (
     Budget,
     CircuitBreaker,
     DecisionOutcome,
-    RetryPolicy,
     RuntimeStats,
     faults,
 )
@@ -61,52 +60,6 @@ class TestBudget:
     def test_negative_budget_rejected(self):
         with pytest.raises(BudgetExhaustedError):
             Budget(-1.0)
-
-
-class TestRetryPolicy:
-    def test_seeded_delays_are_reproducible_and_capped(self):
-        a = RetryPolicy(max_attempts=5, base=0.01, cap=0.2, seed=42)
-        b = RetryPolicy(max_attempts=5, base=0.01, cap=0.2, seed=42)
-        delays = [a.next_delay() for _ in range(8)]
-        assert delays == [b.next_delay() for _ in range(8)]
-        assert all(0.01 <= d <= 0.2 for d in delays)
-        a.reset()
-        assert [a.next_delay() for _ in range(8)] == delays
-
-    def test_call_retries_then_succeeds(self):
-        sleeps = []
-        policy = RetryPolicy(max_attempts=3, sleep=sleeps.append)
-        attempts = []
-
-        def flaky(attempt):
-            attempts.append(attempt)
-            if attempt < 3:
-                raise OSError("transient")
-            return "done"
-
-        assert policy.call(flaky, retryable=(OSError,)) == "done"
-        assert attempts == [1, 2, 3]
-        assert len(sleeps) == 2
-
-    def test_call_exhausts_and_raises_last_error(self):
-        policy = RetryPolicy(max_attempts=2, sleep=lambda _: None)
-        with pytest.raises(OSError):
-            policy.call(
-                lambda attempt: (_ for _ in ()).throw(OSError("still down")),
-                retryable=(OSError,),
-            )
-
-    def test_unretryable_errors_propagate_immediately(self):
-        policy = RetryPolicy(max_attempts=5, sleep=lambda _: None)
-        calls = []
-
-        def wrong(attempt):
-            calls.append(attempt)
-            raise ValueError("not transient")
-
-        with pytest.raises(ValueError):
-            policy.call(wrong, retryable=(OSError,))
-        assert calls == [1]
 
 
 class TestCircuitBreaker:
@@ -149,9 +102,9 @@ class TestCircuitBreaker:
 class TestFaultInjector:
     def test_parse_spec_rates_and_caps(self):
         injector = faults.FaultInjector.parse(
-            "worker-crash:1,solver-timeout:0.25:3", seed=7
+            "nonconvergence:1,solver-timeout:0.25:3", seed=7
         )
-        fired = sum(injector.fire(faults.WORKER_CRASH) for _ in range(5))
+        fired = sum(injector.fire(faults.NONCONVERGENCE) for _ in range(5))
         assert fired == 5  # rate 1, no cap
         fired = sum(injector.fire(faults.SOLVER_TIMEOUT) for _ in range(1000))
         assert fired == 3  # capped by max_fires
@@ -167,17 +120,24 @@ class TestFaultInjector:
         with pytest.raises(ValueError):
             faults.FaultRule(site="disk-on-fire")
         with pytest.raises(ValueError):
-            faults.FaultRule(site=faults.WORKER_CRASH, rate=1.5)
+            faults.FaultRule(site=faults.NONCONVERGENCE, rate=1.5)
+
+    def test_retired_pool_sites_rejected(self):
+        # The engine has no process pool, so its crash and dispatch sites
+        # are gone: a plan naming them is an error, not a silent no-op.
+        for spec in ("worker-crash:1", "pickle-failure:1"):
+            with pytest.raises(ValueError):
+                faults.FaultInjector.parse(spec)
 
     def test_inject_context_restores_previous_plan(self):
         faults.uninstall()
-        assert not faults.fire(faults.WORKER_CRASH)
-        with faults.inject("worker-crash:1"):
-            assert faults.fire(faults.WORKER_CRASH)
+        assert not faults.fire(faults.NONCONVERGENCE)
+        with faults.inject("nonconvergence:1"):
+            assert faults.fire(faults.NONCONVERGENCE)
             with faults.inject("solver-timeout:1"):
-                assert not faults.fire(faults.WORKER_CRASH)
+                assert not faults.fire(faults.NONCONVERGENCE)
                 assert faults.fire(faults.SOLVER_TIMEOUT)
-            assert faults.fire(faults.WORKER_CRASH)
+            assert faults.fire(faults.NONCONVERGENCE)
         assert faults.active() is None
 
 
@@ -188,16 +148,16 @@ class TestDecisionOutcome:
         )
         assert not outcome.degraded
         once = outcome.with_degradation("breaker-pinned")
-        twice = once.with_degradation("pool-lost:serial-recovery")
+        twice = once.with_degradation("pipeline-error:StageTimeoutError")
         assert twice.degraded
-        assert twice.degradation == "breaker-pinned;pool-lost:serial-recovery"
-        assert twice.stages[-1] == "pool-lost:serial-recovery"
+        assert twice.degradation == "breaker-pinned;pipeline-error:StageTimeoutError"
+        assert twice.stages[-1] == "pipeline-error:StageTimeoutError"
 
     def test_runtime_stats_merge_and_flags(self):
-        a = RuntimeStats(pool_failures=1, budget_exhausted=2)
-        b = RuntimeStats(pool_failures=2, breaker_trips=1)
+        a = RuntimeStats(store_failures=1, budget_exhausted=2)
+        b = RuntimeStats(store_failures=2, breaker_trips=1)
         merged = a.merge(b)
-        assert merged.pool_failures == 3
+        assert merged.store_failures == 3
         assert merged.budget_exhausted == 2
         assert merged.breaker_trips == 1
         assert merged.any_degradation
