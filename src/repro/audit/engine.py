@@ -8,8 +8,8 @@ the batched engine exploits two layers of reuse before deciding anything:
 
 1. **Batch compilation** — events are grouped by query, and each unique
    query's answer is compiled to its disclosed set ``B`` exactly once
-   (``CandidateUniverse.compile_answer`` evaluates the query over all
-   ``2^n`` worlds, so this matters even before any decision runs).
+   (``CandidateUniverse.compile_answer`` lowers the query to a formula and
+   takes its truth table over the ``2^n`` worlds).
 2. **Verdict cache** — decisions are memoised by content fingerprints of
    ``(A, B)`` plus the prior assumption and tolerance, so duplicate
    disclosures in a log (and across successive ``audit_log`` calls) cost
@@ -370,11 +370,9 @@ class BatchAuditEngine:
         self._compiled: Dict[str, PropertySet] = {}
         self._compile_stats = CacheStats()
         self._decision_backend = decision_backend
-        # query repr → lowered SymbolicPair (None = unlowerable); shared
-        # across ablation siblings like the compiled-set memo.
-        self._formulas: Dict[str, Optional[object]] = {}
-        self._formula_audited: Optional[object] = None
-        self._formula_audited_ready = False
+        # query repr → lowered SymbolicPair, shared across ablation siblings
+        # like the compiled-set memo.
+        self._formulas: Dict[str, object] = {}
         #: Decisions per deciding backend name ("mask", "symbolic-builtin",
         #: "symbolic-z3"), accumulated across audit_log calls and shared
         #: with ablation siblings; rendered on the report.
@@ -415,8 +413,9 @@ class BatchAuditEngine:
 
         Queries are canonicalised by ``repr`` (they are frozen dataclasses
         with deterministic reprs), so re-asked queries — the common case in
-        real logs — share one ``2^n``-world evaluation sweep.  A query that
-        does not compile against the universe raises a
+        real logs — share one compilation.  A query that does not compile
+        against the universe (an unknown table or column, or something that
+        is not a :mod:`repro.db` query) raises a
         :class:`~repro.exceptions.MalformedEventError` naming the offending
         event's index, not a bare ``KeyError`` from deep inside the
         compiler.
@@ -483,46 +482,23 @@ class BatchAuditEngine:
 
         return preferred()
 
-    def _audited_formula(self) -> Optional[object]:
-        """The lowered audit-query formula (None if unlowerable), built once."""
-        if not self._formula_audited_ready:
-            from ..exceptions import SymbolicLoweringError
-
-            try:
-                self._formula_audited = self._universe.lower_boolean(
-                    self._policy.audit_query
-                )
-            except SymbolicLoweringError:
-                self._formula_audited = None
-            self._formula_audited_ready = True
-        return self._formula_audited
-
-    def _symbolic_for(self, query) -> Optional[object]:
+    def _symbolic_for(self, query) -> object:
         """The query's lowered :class:`~repro.symbolic.SymbolicPair`.
 
         Memoised by query repr (like :meth:`compile_query`) and shared
-        across ablation siblings; ``None`` marks queries only the mask
-        compiler can evaluate — those decisions simply stay on masks.
+        across ablation siblings.  Every query that compiled also lowers:
+        its disclosed set is the truth table of the same formula.
         """
         query_key = repr(query)
-        if query_key in self._formulas:
-            return self._formulas[query_key]
-        from ..exceptions import SymbolicLoweringError
-
-        pair: Optional[object] = None
-        formula_a = self._audited_formula()
-        if formula_a is not None:
+        pair = self._formulas.get(query_key)
+        if pair is None:
             from ..symbolic.decide import SymbolicPair
 
-            try:
-                pair = SymbolicPair(
-                    formula_a,
-                    self._universe.lower_answer(query),
-                    self._universe.space.n,
-                )
-            except SymbolicLoweringError:
-                pair = None
-        self._formulas[query_key] = pair
+            pair = self._formulas[query_key] = SymbolicPair(
+                self._universe.lower_boolean(self._policy.audit_query),
+                self._universe.lower_answer(query),
+                self._universe.space.n,
+            )
         return pair
 
     # -- tensor sharing ------------------------------------------------------------
@@ -769,7 +745,7 @@ class BatchAuditEngine:
         )
         keys: List[CacheKey] = []
         cold: Dict[CacheKey, PropertySet] = {}
-        cold_symbolic: Dict[CacheKey, Optional[object]] = {}
+        cold_symbolic: Dict[CacheKey, object] = {}
         for index, disclosed in enumerate(disclosed_sets):
             key = VerdictCache.key(self._audited, disclosed, assumption, self._atol)
             keys.append(key)

@@ -251,8 +251,8 @@ class IncrementalAuditor:
         backend can still decide preservation from the lowered formula —
         a handful of SAT calls instead of a ``4^n`` product — provided the
         engine's backend selection wants the symbolic path.  Any shortfall
-        (unlowerable query, no engine, solver timeout) answers ``False``:
-        the fast path is an optimisation, never a correctness dependency.
+        (no engine, solver timeout) answers ``False``: the fast path is an
+        optimisation, never a correctness dependency.
         """
         if self._knowledge is not None:
             return is_preserving_possibilistic(
@@ -261,8 +261,6 @@ class IncrementalAuditor:
         if not self._engine._symbolic_wanted():
             return False
         pair = self._engine._symbolic_for(finding.event.query)
-        if pair is None:
-            return False
         from ..runtime.budget import Budget
         from ..symbolic.decide import preserving_symbolic
 

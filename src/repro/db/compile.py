@@ -6,9 +6,13 @@ possible relevant worlds could be very small".  The
 :class:`CandidateUniverse` realises that reduction: fix ``n`` candidate
 records (real rows plus hypothetical ones the auditor considers relevant);
 each world of the hypercube ``{0,1}^n`` is the database view containing
-exactly the chosen candidates, and every query compiles to the
-:class:`~repro.core.worlds.PropertySet` of worlds where it holds — ready for
-the Section 4/5/6 machinery.
+exactly the chosen candidates.
+
+Every query then is a Boolean function of the ``n`` presence bits, and the
+universe compiles it once, to a formula (:mod:`repro.symbolic.lower`).  The
+:class:`~repro.core.worlds.PropertySet` the Section 4/5/6 machinery decides
+on is that formula's truth table, so the mask deciders and the symbolic
+backend share one front end and cannot disagree about what a query means.
 """
 
 from __future__ import annotations
@@ -17,12 +21,21 @@ from typing import Optional, Sequence, Tuple
 
 from ..core.worlds import HypercubeSpace, PropertySet
 from ..exceptions import QueryError
+from ..symbolic import lower
+from ..symbolic.formula import Formula, truth_table
 from .database import Database, DatabaseView, Record
-from .query import BooleanQuery, Select
+from .query import BooleanQuery
 
 
 class CandidateUniverse:
     """A fixed set of candidate records spanning the relevant worlds.
+
+    The query compiler: :meth:`lower_boolean`/:meth:`lower_answer` turn a
+    query into a formula over the candidates' presence bits, and
+    :meth:`compile_boolean`/:meth:`compile_answer` return that formula's
+    truth table as a :class:`~repro.core.worlds.PropertySet`.  No query is
+    evaluated per world; ``view_of`` serves the one evaluation of the
+    actual answer.
 
     Parameters
     ----------
@@ -97,10 +110,12 @@ class CandidateUniverse:
         raise QueryError(f"{record.label()} is not a candidate")
 
     # -- compilation --------------------------------------------------------------
+    # A query's property set is the truth table of its lowered formula.
 
     def compile_boolean(self, query: BooleanQuery) -> PropertySet:
-        """The property ``{ω : query(ω) is true}``."""
-        return self._space.where(lambda w: query.evaluate(self.view_of(w)))
+        """The property ``{ω : query(ω) is true}``: the truth table of
+        :meth:`lower_boolean`."""
+        return self._truth_table(self.lower_boolean(query))
 
     def presence(self, record: Record) -> PropertySet:
         """The atomic property ``{ω : record ∈ ω}``."""
@@ -109,55 +124,44 @@ class CandidateUniverse:
     def compile_answer(self, query, actual_world: Optional[int] = None) -> PropertySet:
         """The knowledge set of a query's *actual output* (Section 2).
 
-        For any query ``Q`` (Boolean or :class:`Select`), the disclosure of
-        its answer is ``{ω : Q(ω) = Q(ω*)}``.
+        For a query ``Q`` (Boolean or :class:`~repro.db.query.Select`), the
+        disclosure of its answer is ``{ω : Q(ω) = Q(ω*)}``: the truth table
+        of :meth:`lower_answer`.
         """
-        if actual_world is None:
-            actual_world = self.actual_world()
-        evaluate = (
-            query.evaluate
-            if isinstance(query, (BooleanQuery, Select))
-            else query
-        )
-        actual_answer = evaluate(self.view_of(actual_world))
-        return self._space.where(
-            lambda w: evaluate(self.view_of(w)) == actual_answer
-        )
+        return self._truth_table(self.lower_answer(query, actual_world))
 
     def positive_answer_set(self, query: BooleanQuery) -> PropertySet:
         """Alias of :meth:`compile_boolean`, named for audit-policy use:
         a "yes" to the audit query is the protected property ``A``."""
         return self.compile_boolean(query)
 
-    # -- symbolic lowering ---------------------------------------------------------
-    # The same compiler surface, but into propositional formulas instead of
-    # PropertySets — the entry point the symbolic decision backend uses.
-    # Imports are deferred so the mask path never pays for repro.symbolic.
+    def _truth_table(self, formula: Formula) -> PropertySet:
+        return self._space.from_mask(truth_table(formula, self._space.n))
 
-    def lower_boolean(self, query: BooleanQuery):
-        """The formula ``φ`` with ``φ(ω) ⟺ query(ω)`` on every world.
+    # -- lowering ------------------------------------------------------------------
+    # The one front end: a formula over the presence variables, built in
+    # O(|query| · n).  The symbolic backend decides on it directly.
 
-        Semantically identical to :meth:`compile_boolean` (the equivalence
-        suite asserts it world-by-world) but costs ``O(|query| · n)``
-        instead of ``O(2^n)``.
+    def lower_boolean(self, query: BooleanQuery) -> Formula:
+        """The formula ``φ`` with ``φ(ω) ⟺ query(view_of(ω))`` on every world.
+
+        Every table the query names must exist, whether or not evaluation
+        would reach it; otherwise :class:`~repro.exceptions.QueryError`.
         """
-        from ..symbolic.lower import lower_boolean as _lower
+        lower.check_tables(query, self._database)
+        return lower.lower_boolean(query, self._candidates)
 
-        return _lower(query, self._candidates)
-
-    def lower_answer(self, query, actual_world: Optional[int] = None):
+    def lower_answer(self, query, actual_world: Optional[int] = None) -> Formula:
         """Formula form of :meth:`compile_answer` (the equal-output set).
 
-        Raises :class:`~repro.exceptions.SymbolicLoweringError` for opaque
-        callable queries, which only the mask compiler can evaluate.
+        ``ω*`` is ``actual_world`` (default: the inserted records).  Tables
+        are checked as in :meth:`lower_boolean`.  Only :mod:`repro.db`
+        queries lower; anything else, a callable included, raises
+        :class:`~repro.exceptions.SymbolicLoweringError`.
         """
-        from ..exceptions import SymbolicLoweringError
-        from ..symbolic.lower import lower_answer as _lower
-
-        if not isinstance(query, (BooleanQuery, Select)):
-            raise SymbolicLoweringError(
-                f"cannot lower answers of {type(query).__name__} (opaque evaluator)"
-            )
+        lower.check_tables(query, self._database)
         if actual_world is None:
             actual_world = self.actual_world()
-        return _lower(query, self._candidates, self.view_of(actual_world))
+        return lower.lower_answer(
+            query, self._candidates, self.view_of(actual_world)
+        )

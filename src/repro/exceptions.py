@@ -125,9 +125,10 @@ class ParseError(QueryError):
 class SymbolicLoweringError(QueryError):
     """A query could not be lowered to a propositional formula.
 
-    Raised by the symbolic backend's query→formula compiler for inputs
-    outside the lowerable fragment (e.g. opaque callables passed to
-    ``compile_answer``).  Callers degrade such decisions to the mask path.
+    Raised by the query compiler (:mod:`repro.symbolic.lower`) for inputs
+    that are not :mod:`repro.db` queries, e.g. an opaque callable passed
+    to ``compile_answer``.  The audit engine reports it, like any other
+    :class:`QueryError`, as a :class:`MalformedEventError`.
     """
 
 

@@ -74,7 +74,7 @@ class SafetyMarginIndex:
         self._origin_mask = audited.mask & oracle.candidate_worlds().mask
         self._margins: Dict[int, int] = {}
         self._stats = CacheStats()
-        # Word-array mirror of the margin memo (E20): origin worlds in
+        # Word-array mirror of the margin memo: origin worlds in
         # increasing order, one uint64 row per origin, filled in lockstep
         # with ``_margins`` so the sweep below is a single matrix AND-NOT
         # instead of one big-int op per origin.
@@ -185,21 +185,6 @@ class SafetyMarginIndex:
         violations = self._sweep_and.any(axis=-1)
         return not bool(np.any(violations & present_bits))
 
-    def test_bigint(self, disclosed: PropertySet) -> bool:
-        """Reference big-int sweep of :meth:`test` (one AND-NOT per origin).
-
-        Kept as the equivalence oracle for the word-array kernel — the E20
-        benchmark and the property tests compare the two implementations
-        verdict-for-verdict.  Counts memo traffic exactly like the legacy
-        path did: one lookup per origin until the first violation.
-        """
-        self._audited.space.check_same(disclosed.space)
-        b_mask = disclosed.mask
-        for w1 in _bitops.iter_bits(self._origin_mask & b_mask):
-            if self._margin_mask(w1) & ~b_mask != 0:
-                return False
-        return True
-
     def audit(self, disclosed: PropertySet) -> AuditVerdict:
         """Verdict-producing form of :meth:`test`.
 
@@ -211,7 +196,8 @@ class SafetyMarginIndex:
         if self._check_tight():
             # test() filled every present origin's row, so the offending
             # search is a pure re-sweep; the first violating row in the
-            # increasing origin order matches the legacy big-int walk.
+            # increasing origin order matches the big-int walk that
+            # tests/possibilistic keeps as the oracle.
             b_words = _bitops.mask_to_words(disclosed.mask, self._size)
             present = self._present_origins(b_words)
             violations = _bitops.andnot_any_rows(

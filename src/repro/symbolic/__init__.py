@@ -46,9 +46,9 @@ from .formula import (
     not_f,
     or_f,
     to_cnf,
+    truth_table,
 )
 from .lower import lower_answer, lower_boolean
-from .universe import SymbolicUniverse
 
 __all__ = [
     "ENV_SYMBOLIC",
@@ -63,7 +63,6 @@ __all__ = [
     "NotF",
     "OrF",
     "SymbolicPair",
-    "SymbolicUniverse",
     "TRUE",
     "Var",
     "and_f",
@@ -86,4 +85,5 @@ __all__ = [
     "preferred",
     "preserving_symbolic",
     "to_cnf",
+    "truth_table",
 ]

@@ -1,10 +1,10 @@
 """Propositional formulas over candidate-presence variables.
 
-The symbolic backend represents a query's truth condition as a formula over
-variables ``x_1 .. x_n`` ("candidate ``i`` is present"), instead of as a
-:class:`~repro.core.worlds.PropertySet` big-int over all ``2^n`` worlds.
-Cost then tracks formula *structure*, not ``|Ω|``, which is what makes
-``n = 24, 32, 64`` feasible.
+Every query compiles to a formula over variables ``x_1 .. x_n`` ("candidate
+``i`` is present").  The mask deciders take its :func:`truth_table`, a
+:class:`~repro.core.worlds.PropertySet` big-int over all ``2^n`` worlds; the
+symbolic backend decides on the formula itself, so its cost tracks formula
+*structure*, not ``|Ω|``, which is what makes ``n = 24, 32, 64`` feasible.
 
 The AST is deliberately tiny — constants, variables, negation, n-ary
 conjunction/disjunction, and a cardinality atom :class:`AtLeastF` (kept
@@ -22,6 +22,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple, Union
+
+from .. import _bitops
 
 
 @dataclass(frozen=True)
@@ -149,12 +151,12 @@ def at_least(args: Iterable[Formula], threshold: int) -> Formula:
 
 
 def eval_formula(formula: Formula, world: int) -> bool:
-    """Truth of ``formula`` at a world (bit ``i-1`` = variable ``i``).
+    """Truth of ``formula`` at one world (bit ``i-1`` = variable ``i``).
 
-    This is the semantic bridge back to the mask backend: a lowered query
-    evaluated here must agree with ``query.evaluate(view_of(world))`` on
-    every world of the hypercube (the equivalence suite asserts exactly
-    that).  :class:`AtLeastF` is counted directly, never expanded.
+    The per-world twin of :func:`truth_table`: bit ``ω`` of
+    ``truth_table(formula, n)`` equals ``eval_formula(formula, ω)``.  The
+    symbolic deciders use it to check models and witnesses.
+    :class:`AtLeastF` is counted directly, never expanded.
     """
     if isinstance(formula, ConstF):
         return formula.value
@@ -175,6 +177,51 @@ def eval_formula(formula: Formula, world: int) -> bool:
                     return True
         return False
     raise TypeError(f"not a formula: {formula!r}")
+
+
+def truth_table(formula: Formula, n: int) -> int:
+    """The mask of the worlds of ``{0,1}^n`` where ``formula`` holds.
+
+    Bit ``ω`` is set iff ``eval_formula(formula, ω)``: the packed form of a
+    :class:`~repro.core.worlds.PropertySet`, built with a handful of big-int
+    operations per node instead of one evaluation per world.  ``Var(i)`` is
+    the stripe of worlds with bit ``i-1`` set; :class:`AtLeastF` runs a
+    counter of ``threshold`` masks, where ``counts[j]`` holds the worlds in
+    which more than ``j`` of the operands seen so far are true.
+    """
+    size = 1 << n
+    full = (1 << size) - 1
+
+    def mask(f: Formula) -> int:
+        if isinstance(f, ConstF):
+            return full if f.value else 0
+        if isinstance(f, Var):
+            if not 1 <= f.index <= n:
+                raise ValueError(f"variable {f.index} outside 1..{n}")
+            return _bitops.stripe_mask(1 << (f.index - 1), size)
+        if isinstance(f, NotF):
+            return full & ~mask(f.inner)
+        if isinstance(f, AndF):
+            out = full
+            for a in f.args:
+                out &= mask(a)
+            return out
+        if isinstance(f, OrF):
+            out = 0
+            for a in f.args:
+                out |= mask(a)
+            return out
+        if isinstance(f, AtLeastF):
+            counts = [0] * f.threshold
+            for a in f.args:
+                x = mask(a)
+                for j in range(f.threshold - 1, 0, -1):
+                    counts[j] |= counts[j - 1] & x
+                counts[0] |= x
+            return counts[-1]
+        raise TypeError(f"not a formula: {f!r}")
+
+    return mask(formula)
 
 
 def shift_vars(formula: Formula, offset: int) -> Formula:

@@ -1,26 +1,28 @@
-"""Lowering ``repro.db`` queries to propositional formulas.
+"""Lowering ``repro.db`` queries to propositional formulas: the query compiler.
 
-The mask compiler (:class:`repro.db.compile.CandidateUniverse`) evaluates a
-query on all ``2^n`` views to build a :class:`~repro.core.worlds.PropertySet`.
-This module produces the *same* truth condition as a formula over the
-presence variables ``x_1 .. x_n`` in time linear in the query and candidate
-count — the step that removes Ω from the cost model entirely.
+A query over ``n`` candidate records becomes a formula over the presence
+variables ``x_1 .. x_n`` in time linear in the query and candidate count.
+This is the only compiled form of a query:
+:class:`repro.db.compile.CandidateUniverse` takes the formula's
+:func:`~repro.symbolic.formula.truth_table` as the query's
+:class:`~repro.core.worlds.PropertySet`, and the symbolic backend decides
+on the formula directly.
 
 Soundness rests on one structural fact: a :class:`~repro.db.database.
 DatabaseView` built by ``view_of`` contains candidate records only, so each
 row test ``predicate.matches(r)`` is a constant per candidate and every
-query's truth is a Boolean function of the presence bits.
+query's truth is a Boolean function of the presence bits.  The per-world
+interpreter (``query.evaluate(view_of(ω))``) is the test oracle.
 
-Queries outside the lowerable fragment (opaque callables handed to
-``compile_answer``) raise :class:`~repro.exceptions.SymbolicLoweringError`;
-callers degrade those decisions to the mask path.
+Only :mod:`repro.db` query classes lower; anything else, opaque callables
+included, raises :class:`~repro.exceptions.SymbolicLoweringError`.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from ..db.database import DatabaseView, Record
+from ..db.database import Database, DatabaseView, Record
 from ..db.query import (
     And,
     AtLeast,
@@ -56,8 +58,31 @@ def _matching_vars(
     ]
 
 
+def check_tables(query, database: Database) -> None:
+    """Raise :class:`~repro.exceptions.QueryError` for any table ``query``
+    names that ``database`` lacks.
+
+    Lowering reads only the candidates, so a misspelt table would lower to
+    FALSE, and evaluation skips a table behind a short-circuit.  This
+    checks every table, reached or not.
+    """
+    if isinstance(query, (Exists, AtLeast, Select)):
+        database.schema(query.table)
+    elif isinstance(query, Not):
+        check_tables(query.inner, database)
+    elif isinstance(query, (And, Or)):
+        check_tables(query.left, database)
+        check_tables(query.right, database)
+    elif isinstance(query, Implies):
+        check_tables(query.antecedent, database)
+        check_tables(query.consequent, database)
+
+
 def lower_boolean(query: BooleanQuery, candidates: Sequence[Record]) -> Formula:
-    """The formula ``φ`` with ``φ(ω) ⟺ query(view_of(ω))`` for every ω."""
+    """The formula ``φ`` with ``φ(ω) ⟺ query(view_of(ω))`` for every ω.
+
+    Tables are not checked here; see :func:`check_tables`.
+    """
     if isinstance(query, Exists):
         return or_f(*_matching_vars(candidates, query.table, query.predicate))
     if isinstance(query, AtLeast):
@@ -107,12 +132,12 @@ def lower_answer(
 ) -> Formula:
     """The formula of the equal-output set ``{ω : Q(ω) = Q(ω*)}``.
 
-    Mirrors :meth:`~repro.db.compile.CandidateUniverse.compile_answer`: a
-    Boolean query's answer set is ``φ`` or ``¬φ``; a :class:`Select`'s is a
-    conjunction over the distinct projected values of matching candidates —
-    values in the actual output need a present producer (∨ of their
-    candidates), values outside it need all producers absent (∧ of
-    negations).
+    ``actual_view`` is ``ω*``; the query is evaluated on it once, for the
+    actual answer.  A Boolean query's answer set is ``φ`` or ``¬φ``; a
+    :class:`Select`'s is a conjunction over the distinct projected values
+    of matching candidates — values in the actual output need a present
+    producer (∨ of their candidates), values outside it need all producers
+    absent (∧ of negations).
     """
     if isinstance(query, BooleanQuery):
         phi = lower_boolean(query, candidates)

@@ -20,6 +20,7 @@ from repro.db import (
     TableSchema,
     parse_boolean_query,
 )
+from repro.exceptions import MalformedEventError, QueryError
 from tests.workloads import AUDIT_QUERY, build_mixed_density_log, build_registry
 
 
@@ -156,6 +157,36 @@ class TestEngineAgainstSeedLoop:
         assert engine.cache.misses == distinct < len(expected)
         for finding in warm.findings:
             assert finding.outcome.stages == ("verdict-cache",)
+
+
+#: Well-formed queries naming a table the database lacks: directly, and
+#: behind a conjunct that matches no candidate.
+UNKNOWN_TABLE_TEXTS = [
+    "EXISTS(SELECT * FROM nosuch WHERE patient = 'Bob')",
+    "EXISTS(SELECT * FROM facts WHERE patient = 'Nobody') AND "
+    "EXISTS(SELECT * FROM nosuch WHERE patient = 'Bob')",
+]
+
+
+class TestCompileErrors:
+    @pytest.mark.parametrize(
+        "text", UNKNOWN_TABLE_TEXTS, ids=["direct", "short-circuit"]
+    )
+    def test_compile_log_names_the_event(self, hospital, text):
+        log = repeated_log(3)
+        log.record(2010, "mallory", parse_boolean_query(text))
+        engine = BatchAuditEngine(hospital, make_policy())
+        with pytest.raises(MalformedEventError, match="no such table") as info:
+            engine.compile_log(log)
+        assert info.value.event_index == 3
+
+    @pytest.mark.parametrize(
+        "text", UNKNOWN_TABLE_TEXTS, ids=["direct", "short-circuit"]
+    )
+    def test_audit_query_fails_engine_construction(self, hospital, text):
+        policy = AuditPolicy(audit_query=parse_boolean_query(text))
+        with pytest.raises(QueryError, match="no such table"):
+            BatchAuditEngine(hospital, policy)
 
 
 class TestOneDecisionPath:

@@ -15,7 +15,7 @@ from repro.db import (
     parse_boolean_query,
 )
 from repro.db.query import RowTrue
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, SymbolicLoweringError
 
 
 @pytest.fixture
@@ -136,9 +136,32 @@ class TestCompileAnswer:
         answer_set = universe.compile_answer(query, actual_world=empty_world)
         assert answer_set == ~universe.compile_boolean(query)
 
-    def test_callable_queries_supported(self, setting):
+    def test_callable_queries_rejected(self, setting):
+        """Only repro.db queries compile: an opaque callable has no formula."""
         _, universe, _, _ = setting
-        count_rows = lambda view: len(view)
-        answer_set = universe.compile_answer(count_rows)
-        # Worlds with exactly 2 present candidates: just "11".
-        assert answer_set == universe.space.property_set(["11"])
+        count_rows = lambda view: len(view)  # noqa: E731
+        with pytest.raises(SymbolicLoweringError):
+            universe.compile_answer(count_rows)
+        with pytest.raises(SymbolicLoweringError):
+            universe.lower_answer(count_rows)
+
+
+#: Well-formed queries that name a table the database lacks: directly, and
+#: behind a conjunct that matches nothing, so evaluation never reaches it.
+UNKNOWN_TABLE_QUERIES = [
+    Exists("nosuch", RowTrue()),
+    Exists("facts", column_eq("kind", "dialysis")) & Exists("nosuch", RowTrue()),
+    Select("nosuch", RowTrue()),
+]
+
+
+class TestCompileErrors:
+    @pytest.mark.parametrize(
+        "query", UNKNOWN_TABLE_QUERIES, ids=["direct", "short-circuit", "select"]
+    )
+    def test_unknown_table_raises(self, setting, query):
+        _, universe, _, _ = setting
+        with pytest.raises(QueryError, match="no such table"):
+            universe.compile_boolean(query)
+        with pytest.raises(QueryError, match="no such table"):
+            universe.compile_answer(query)

@@ -120,27 +120,36 @@ class TestBatchedVerdictIdentity:
     def test_bad_query_fails_only_its_own_slot(self, scenario, trace, tmp_path):
         universe, policy, _ = scenario
         events = trace[:6]
-        manager = make_manager(scenario, tmp_path)
-        executor = BatchDecisionExecutor(manager)
-        items = batch_items(events)
-        bad = as_request(events[2])
-        bad = type(bad)(
-            tenant=bad.tenant,
-            user=bad.user,
-            time=bad.time,
-            query_text="NOT VALID SQL (((",
-            request_id=bad.request_id,
-        )
-        items[2] = (bad, None)
-        responses = executor.decide_batch(items)
-        assert responses[2]["decision"] == "error"
-        assert "bad query" in responses[2]["error"]
-        others = [r for i, r in enumerate(responses) if i != 2]
-        assert all(r["ok"] for r in others)
-        # The malformed slot was never journaled — the commit round holds
-        # exactly the five parseable records.
-        assert manager.gateway_stats.batch_events == 5
-        manager.close()
+        bad_texts = [
+            "NOT VALID SQL (((",
+            # Well-formed, but naming a table the database lacks: directly,
+            # and behind a conjunct that matches no candidate.
+            "EXISTS(SELECT * FROM nosuch WHERE patient = 'Bob')",
+            "EXISTS(SELECT * FROM registry WHERE patient = 'Nobody') AND "
+            "EXISTS(SELECT * FROM nosuch WHERE patient = 'Bob')",
+        ]
+        for attempt, text in enumerate(bad_texts):
+            manager = make_manager(scenario, tmp_path, subdir=f"run{attempt}")
+            executor = BatchDecisionExecutor(manager)
+            items = batch_items(events)
+            bad = as_request(events[2])
+            bad = type(bad)(
+                tenant=bad.tenant,
+                user=bad.user,
+                time=bad.time,
+                query_text=text,
+                request_id=bad.request_id,
+            )
+            items[2] = (bad, None)
+            responses = executor.decide_batch(items)
+            assert responses[2]["decision"] == "error", text
+            assert "bad query" in responses[2]["error"], text
+            others = [r for i, r in enumerate(responses) if i != 2]
+            assert all(r["ok"] for r in others), text
+            # The malformed slot was never journaled — the commit round
+            # holds exactly the five parseable records.
+            assert manager.gateway_stats.batch_events == 5, text
+            manager.close()
 
 
 class TestGroupCommitCrash:

@@ -35,10 +35,11 @@ if not enabled():
 from repro.runtime import Budget
 from repro.symbolic import (
     SymbolicPair,
-    SymbolicUniverse,
     audit_symbolic,
     backend_name,
     engine as active_engine,
+    lower_answer,
+    lower_boolean,
 )
 from repro.symbolic.decide import SUBCUBES
 
@@ -193,11 +194,12 @@ class TestBigN:
         """The acceptance regime: n = 32 decided where masks cannot exist."""
         n = 32
         db, records = build_db(n)
-        universe = SymbolicUniverse(db, records)
         pair = SymbolicPair(
-            universe.lower_boolean(Exists("t", column_eq("v", 0))),
-            universe.lower_answer(
-                AtLeast("t", ColumnCompare("v", Comparison.LE, 5), 3)
+            lower_boolean(Exists("t", column_eq("v", 0)), records),
+            lower_answer(
+                AtLeast("t", ColumnCompare("v", Comparison.LE, 5), 3),
+                records,
+                db.actual_view(),
             ),
             n,
         )

@@ -1,11 +1,13 @@
-"""Query lowering round-trips: formulas vs the mask compiler, world by world.
+"""Lowered formulas as the symbolic deciders read them, world by world.
 
 Two layers of equivalence:
 
-* **db layer** — ``CandidateUniverse.lower_boolean`` / ``lower_answer`` must
-  agree with ``compile_boolean`` / ``compile_answer`` on *every* world of
-  seeded random database scenarios (the property the engine's formula cache
-  relies on when it attaches symbolic pairs to decision tasks).
+* **db layer** — ``eval_formula``, the per-world evaluator the symbolic
+  deciders check models and witnesses with, must agree on *every* world
+  of seeded random database scenarios with ``compile_boolean`` /
+  ``compile_answer``, the truth tables the mask deciders get.  The
+  compiler itself is checked against the per-world query interpreter in
+  ``tests/db/test_lowering.py``, which runs in every configuration.
 * **formula layer** — hypothesis-generated formulas round-trip through the
   Tseitin CNF encoding: a SAT model satisfies the source formula, UNSAT means
   no world does, and fingerprints are stable under structural rebuilds.
@@ -93,7 +95,7 @@ def random_query(rng: random.Random, n: int, depth: int = 2):
 
 
 class TestDbLowering:
-    """lower_* vs compile_* on seeded random scenarios, all worlds."""
+    """eval_formula(lower_*) vs compile_* on seeded random scenarios."""
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_lower_boolean_matches_compile_boolean(self, n):
