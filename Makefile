@@ -11,9 +11,10 @@ build-native:
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Seeded chaos matrix: the fault-injection suite replayed under several
-# fault schedules (solver-timeout, nonconvergence, store-write,
-# store-sql-write and native-load), plus the gateway chaos matrix (conn-drop,
+# Seeded chaos matrix: every site of repro.runtime.faults.KNOWN_SITES.
+# The fault-injection suite replays under several fault schedules
+# (solver-timeout, nonconvergence, store-write, store-sql-write and
+# native-load), plus the gateway chaos matrix (conn-drop,
 # journal-torn-write, slow-tenant, drain-flush, and the scale-out sites:
 # commit-fsync-fail crashes a group-commit round with every verdict in
 # it withheld, executor-crash SIGKILLs a gateway executor mid-batch).

@@ -34,11 +34,7 @@ from .io import example_scenario_document, load_scenario
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    auditor = OfflineAuditor(
-        scenario.universe,
-        scenario.policy,
-        decision_backend=args.decision_backend,
-    )
+    auditor = OfflineAuditor(scenario.universe, scenario.policy)
     if args.incremental:
         store = (
             open_verdict_store(args.store, backend=args.store_backend)
@@ -183,15 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="TIME",
         help="only report events at/after this time (incremental mode)",
-    )
-    audit.add_argument(
-        "--decision-backend",
-        choices=("auto", "mask", "symbolic"),
-        default="auto",
-        help="Safe_K decision procedure: 'mask' enumerates the 2^n world "
-        "masks, 'symbolic' lowers possibilistic decisions to SAT "
-        "(degrading to masks if no solver engine is available), 'auto' "
-        "follows the REPRO_SYMBOLIC environment switch",
     )
     audit.set_defaults(func=_cmd_audit)
 

@@ -7,13 +7,15 @@ footnote-1 coin flip).
 """
 
 from .engine import BatchAuditEngine, VerdictCache
-from .incremental import (
-    IncrementalAuditor,
-    UserCompositionState,
-    explicit_possibilistic_knowledge,
-)
+from .incremental import IncrementalAuditor, UserCompositionState
 from .log import DisclosureEvent, DisclosureLog
-from .offline import AuditReport, EventFinding, OfflineAuditor, make_decider
+from .offline import (
+    AuditReport,
+    EventFinding,
+    OfflineAuditor,
+    make_decider,
+    possibilistic_family,
+)
 from .online import (
     AlwaysDenyStrategy,
     Answer,
@@ -60,9 +62,9 @@ __all__ = [
     "VerdictCache",
     "VerdictStore",
     "VerdictStoreBase",
-    "explicit_possibilistic_knowledge",
     "make_decider",
     "open_verdict_store",
+    "possibilistic_family",
     "render_report",
     "simulate",
     "simulate_bayesian",

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,15 +75,11 @@ __all__ = [
     "BatchAuditEngine",
     "DecisionTask",
     "VerdictCache",
-    "DECISION_BACKENDS",
 ]
 
-#: Valid ``decision_backend`` requests.  ``"mask"`` always enumerates the
-#: ``2^n`` world masks; ``"symbolic"`` lowers queries to formulas and
-#: decides by SAT (falling back to masks when no engine is available);
-#: ``"auto"`` follows the ``REPRO_SYMBOLIC`` environment switch — symbolic
-#: only under ``REPRO_SYMBOLIC=require``, masks otherwise.
-DECISION_BACKENDS = ("auto", "mask", "symbolic")
+#: The one ``Safe_K`` decision backend: every pair is decided on the
+#: ``2^n`` world masks its queries compile to.
+DECISION_BACKEND = "mask"
 
 #: A verdict-cache key: (A digest, B digest, assumption value, atol).
 CacheKey = Tuple[str, str, str, float]
@@ -120,11 +116,6 @@ class DecisionTask:
     budget_seconds: Optional[float] = None
     use_sos: bool = False
     pinned: bool = False
-    #: Lowered ``(A, B)`` formulas for the symbolic decision backend
-    #: (a :class:`~repro.symbolic.SymbolicPair`), or ``None`` for the
-    #: mask path.  Typed loosely so the mask path never imports
-    #: :mod:`repro.symbolic`.
-    symbolic: Optional[object] = None
 
 
 def _run_pipeline(
@@ -135,7 +126,6 @@ def _run_pipeline(
 ) -> AuditVerdict:
     """Build the task's decider and run it once."""
     space = task.audited.space
-    pinned = task.pinned or force_pinned
     if assumption in _RANDOMISED:
         decider = make_decider(
             space,
@@ -143,7 +133,7 @@ def _run_pipeline(
             rng=np.random.default_rng(0),
             atol=task.atol,
             use_sos=task.use_sos,
-            exact_only=pinned,
+            exact_only=task.pinned or force_pinned,
         )
         if assumption is PriorAssumption.PRODUCT:
             return decider(
@@ -154,20 +144,6 @@ def _run_pipeline(
     decider = _DECIDER_MEMO.get(memo_key)
     if decider is None:
         decider = _DECIDER_MEMO[memo_key] = make_decider(space, assumption)
-    if task.symbolic is not None and not pinned:
-        # Symbolic-first dispatch: engine availability is checked at decide
-        # time, and any shortfall falls back to the mask decider with the
-        # degradation recorded on the verdict.
-        from ..possibilistic.safety import audit_with_backend
-
-        return audit_with_backend(
-            decider,
-            task.audited,
-            task.disclosed,
-            task.assumption_value,
-            symbolic_pair=task.symbolic,
-            budget=budget,
-        )
     return decider(task.audited, task.disclosed)
 
 
@@ -318,15 +294,6 @@ class BatchAuditEngine:
         back and flushed once per call.  Store failures (corrupt loads,
         failed flushes) degrade to recomputation and are counted as
         ``store_failures`` on ``runtime_stats``; they never raise.
-    decision_backend:
-        ``Safe_K`` decision procedure request (:data:`DECISION_BACKENDS`).
-        ``"mask"`` keeps the world-mask path; ``"symbolic"`` lowers
-        possibilistic decisions to SAT via :mod:`repro.symbolic` (other
-        families always stay on masks); ``"auto"`` (default) engages the
-        symbolic path only under ``REPRO_SYMBOLIC=require``.  Whatever is
-        requested, symbolic shortfalls (backend off, no engine, solver
-        timeout) degrade to the mask path with ``symbolic_degraded``
-        counted — never silently, never changing a verdict.
 
     ``runtime_stats`` accumulates the resilience layer's counters across
     ``audit_log`` calls on this engine (like the verdict cache, which also
@@ -344,17 +311,11 @@ class BatchAuditEngine:
         use_sos: bool = False,
         breaker: Optional[CircuitBreaker] = None,
         store: Optional[VerdictStoreBase] = None,
-        decision_backend: str = "auto",
     ) -> None:
         if n_workers != 1:
             raise ValueError(
                 f"BatchAuditEngine decides in-process; n_workers must be 1, "
                 f"got {n_workers!r}"
-            )
-        if decision_backend not in DECISION_BACKENDS:
-            raise ValueError(
-                f"decision_backend must be one of {DECISION_BACKENDS}, "
-                f"got {decision_backend!r}"
             )
         self._universe = universe
         self._policy = policy
@@ -369,14 +330,6 @@ class BatchAuditEngine:
         # query repr → compiled disclosed set (batch-compilation memo)
         self._compiled: Dict[str, PropertySet] = {}
         self._compile_stats = CacheStats()
-        self._decision_backend = decision_backend
-        # query repr → lowered SymbolicPair, shared across ablation siblings
-        # like the compiled-set memo.
-        self._formulas: Dict[str, object] = {}
-        #: Decisions per deciding backend name ("mask", "symbolic-builtin",
-        #: "symbolic-z3"), accumulated across audit_log calls and shared
-        #: with ablation siblings; rendered on the report.
-        self.backend_counts: Dict[str, int] = {}
         # Cross-event safety-gap tensors keyed by pair fingerprint, shared
         # across ablation siblings and successive audit_log calls.
         self._tensor_cache = TensorCache(capacity=TENSOR_CACHE_CAPACITY)
@@ -452,54 +405,10 @@ class BatchAuditEngine:
             self._compile_stats.hits += 1
         return disclosed
 
-    # -- symbolic lowering ---------------------------------------------------------
-
     @property
     def decision_backend(self) -> str:
-        """The requested ``Safe_K`` decision backend (``"auto"``/``"mask"``/
-        ``"symbolic"``)."""
-        return self._decision_backend
-
-    def _symbolic_wanted(self) -> bool:
-        """Whether decisions should carry lowered formulas.
-
-        ``"mask"`` never; unsupported assumption families never; an
-        explicit ``"symbolic"`` request always (availability is re-checked
-        at decide time, so absence degrades rather than erroring);
-        ``"auto"`` only when the environment *requires* the symbolic
-        backend — the default environment keeps existing behaviour
-        bit-identical.
-        """
-        if self._decision_backend == "mask":
-            return False
-        from ..symbolic.decide import SUPPORTED
-
-        if self._policy.assumption.value not in SUPPORTED:
-            return False
-        if self._decision_backend == "symbolic":
-            return True
-        from ..symbolic.backend import preferred
-
-        return preferred()
-
-    def _symbolic_for(self, query) -> object:
-        """The query's lowered :class:`~repro.symbolic.SymbolicPair`.
-
-        Memoised by query repr (like :meth:`compile_query`) and shared
-        across ablation siblings.  Every query that compiled also lowers:
-        its disclosed set is the truth table of the same formula.
-        """
-        query_key = repr(query)
-        pair = self._formulas.get(query_key)
-        if pair is None:
-            from ..symbolic.decide import SymbolicPair
-
-            pair = self._formulas[query_key] = SymbolicPair(
-                self._universe.lower_boolean(self._policy.audit_query),
-                self._universe.lower_answer(query),
-                self._universe.space.n,
-            )
-        return pair
+        """The ``Safe_K`` decision backend: always ``"mask"``."""
+        return DECISION_BACKEND
 
     # -- tensor sharing ------------------------------------------------------------
 
@@ -553,9 +462,7 @@ class BatchAuditEngine:
         :meth:`decide_many`, and the attached store is flushed once."""
         events = list(log)
         disclosed_sets = self.compile_log(log)
-        outcomes = self._resolve(
-            disclosed_sets, [event.query for event in events], pinned=False
-        )
+        outcomes = self._resolve(disclosed_sets, pinned=False)
         self.flush_store()
         findings = [
             EventFinding(
@@ -572,7 +479,6 @@ class BatchAuditEngine:
             cache_stats=self._cache.stats(),
             runtime_stats=self.runtime_stats,
             store_stats=self.store.stats if self.store is not None else None,
-            backend_counts=self.backend_counts,
         )
 
     def audit_ablation(
@@ -604,14 +510,11 @@ class BatchAuditEngine:
                 use_sos=self.use_sos,
                 breaker=self.breaker,
                 store=self.store,
-                decision_backend=self._decision_backend,
             )
             sibling._compiled = self._compiled
             sibling._compile_stats = self._compile_stats
             sibling._tensor_cache = self._tensor_cache
             sibling.runtime_stats = self.runtime_stats
-            sibling._formulas = self._formulas
-            sibling.backend_counts = self.backend_counts
             reports[assumption] = sibling.audit_log(log)
         return reports
 
@@ -636,7 +539,7 @@ class BatchAuditEngine:
             self.store.failures_reported = failures
 
     def decide_one(
-        self, disclosed: PropertySet, pinned: bool = False, query=None
+        self, disclosed: PropertySet, pinned: bool = False
     ) -> DecisionOutcome:
         """Decide ``Safe_K(A, disclosed)`` through cache → store → pipeline.
 
@@ -654,14 +557,9 @@ class BatchAuditEngine:
         like every breaker pin.  Note the cache/store are consulted first:
         a pinned call can still be served an unpinned run's verdict —
         they are interchangeable by the resilience contract.
-
-        ``query`` (optional) lets streaming callers pass the original
-        query so the decision can ride the symbolic backend; without it —
-        or when ``pinned`` — the decision stays on the mask path (a pin is
-        a pin to the deterministic known-good procedure).
         """
         self.runtime_stats.native_backend = _native.backend_name()
-        self.runtime_stats.decision_backend = self._decision_backend
+        self.runtime_stats.decision_backend = DECISION_BACKEND
         key = VerdictCache.key(
             self._audited, disclosed, self._policy.assumption, self._atol
         )
@@ -673,9 +571,6 @@ class BatchAuditEngine:
             if stored is not None:
                 self._cache.put(key, stored)
                 return DecisionOutcome(verdict=stored, stages=("verdict-store",))
-        symbolic = None
-        if query is not None and not pinned and self._symbolic_wanted():
-            symbolic = self._symbolic_for(query)
         task = DecisionTask(
             assumption_value=self._policy.assumption.value,
             atol=self._atol,
@@ -685,7 +580,6 @@ class BatchAuditEngine:
             budget_seconds=self.decision_budget,
             use_sos=self.use_sos,
             pinned=pinned,
-            symbolic=symbolic,
         )
         outcome = self._decide_batch([task])[0]
         self._cache.put(key, outcome.verdict)
@@ -694,10 +588,7 @@ class BatchAuditEngine:
         return outcome
 
     def decide_many(
-        self,
-        disclosed_sets: Sequence[PropertySet],
-        queries: Optional[Sequence[Any]] = None,
-        pinned: bool = False,
+        self, disclosed_sets: Sequence[PropertySet], pinned: bool = False
     ) -> List["DecisionOutcome"]:
         """Decide many ``Safe_K(A, B_i)`` pairs with one store round trip.
 
@@ -713,20 +604,16 @@ class BatchAuditEngine:
         exactly like :meth:`audit_log`'s per-key provenance.
 
         Like :meth:`decide_one`, this writes through to an attached store
-        without flushing — the caller owns flush cadence.  ``queries``
-        (optional, position-aligned) lets decisions ride the symbolic
-        backend; ``pinned`` forces the deterministic exact path for the
-        whole batch (the gateway batches pinned tenants separately).
+        without flushing — the caller owns flush cadence.  ``pinned``
+        forces the deterministic exact path for the whole batch (the
+        gateway batches pinned tenants separately).
         """
-        return self._resolve(disclosed_sets, queries, pinned)
+        return self._resolve(disclosed_sets, pinned)
 
     # -- decision dispatch ---------------------------------------------------------
 
     def _resolve(
-        self,
-        disclosed_sets: Sequence[PropertySet],
-        queries: Optional[Sequence[Any]],
-        pinned: bool,
+        self, disclosed_sets: Sequence[PropertySet], pinned: bool
     ) -> List[DecisionOutcome]:
         """Cache → store → pipeline for a batch, outcomes position-aligned.
 
@@ -738,15 +625,11 @@ class BatchAuditEngine:
         to the store without flushing.
         """
         self.runtime_stats.native_backend = _native.backend_name()
-        self.runtime_stats.decision_backend = self._decision_backend
+        self.runtime_stats.decision_backend = DECISION_BACKEND
         assumption = self._policy.assumption
-        symbolic_wanted = (
-            not pinned and queries is not None and self._symbolic_wanted()
-        )
         keys: List[CacheKey] = []
         cold: Dict[CacheKey, PropertySet] = {}
-        cold_symbolic: Dict[CacheKey, object] = {}
-        for index, disclosed in enumerate(disclosed_sets):
+        for disclosed in disclosed_sets:
             key = VerdictCache.key(self._audited, disclosed, assumption, self._atol)
             keys.append(key)
             if self._cache.contains(key) or key in cold:
@@ -754,8 +637,6 @@ class BatchAuditEngine:
                 continue
             self._cache.misses += 1
             cold[key] = disclosed
-            if symbolic_wanted:
-                cold_symbolic[key] = self._symbolic_for(queries[index])
         outcomes: Dict[CacheKey, DecisionOutcome] = {}
         if self.store is not None and cold:
             for key, stored in self.store.probe_many(list(cold)).items():
@@ -774,7 +655,6 @@ class BatchAuditEngine:
                 budget_seconds=self.decision_budget,
                 use_sos=self.use_sos,
                 pinned=pinned,
-                symbolic=cold_symbolic.get(key),
             )
             for key, disclosed in cold.items()
         }
@@ -826,12 +706,6 @@ class BatchAuditEngine:
         degradation = outcome.degradation or ""
         if details.get("budget_exhausted") or "budget" in degradation:
             stats.budget_exhausted += 1
-        if "symbolic" in degradation:
-            stats.symbolic_degraded += 1
-        backend_used = details.get("backend", "mask")
-        self.backend_counts[backend_used] = (
-            self.backend_counts.get(backend_used, 0) + 1
-        )
         if outcome.degraded:
             stats.degraded_decisions += 1
 

@@ -33,12 +33,14 @@ only ever *skips* work the proposition has already done).  The
 ``fast_path`` knob disables the shortcut outright; it must never change
 a verdict (tests assert this).
 
-The fast path needs an explicit ``K`` to run :func:`is_preserving
-<repro.core.preserving.is_preserving_possibilistic>` against;
-:func:`explicit_possibilistic_knowledge` materialises one for the
-possibilistic prior families when the product ``C ⊗ Σ`` is small enough,
-and returns ``None`` otherwise — in which case every cumulative verdict
-simply takes the (still correct) engine path.
+Definition 3.9 needs no explicit ``K``.  Each possibilistic prior family
+means ``K = Ω ⊗ Σ`` for an ∩-closed ``Σ ∋ Ω``
+(:func:`~repro.audit.offline.possibilistic_family`), and for such a ``K``
+a disclosed ``B`` is K-preserving exactly when ``B = ∅`` or ``B ∈ Σ``:
+every ``S ∩ B`` with ``S ∈ Σ`` is then in ``Σ`` by ∩-closure, and
+``S = Ω`` forces ``B ∈ Σ`` otherwise.  So the check is one family
+membership test on the mask, at any ``n``.  The probabilistic families
+have no ``Σ``; their cumulative verdicts all take the engine path.
 """
 
 from __future__ import annotations
@@ -46,66 +48,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..core.knowledge import PossibilisticKnowledge
-from ..core.preserving import is_preserving_possibilistic
 from ..core.verdict import AuditVerdict
-from ..core.worlds import HypercubeSpace, PropertySet, WorldSpace
+from ..core.worlds import PropertySet
 from ..db.compile import CandidateUniverse
-from ..possibilistic.families import SubcubeFamily
 from .log import DisclosureEvent, DisclosureLog
-from .offline import AuditReport, EventFinding
-from .policy import AuditPolicy, PriorAssumption
+from .offline import AuditReport, EventFinding, possibilistic_family
+from .policy import AuditPolicy
 from .store import VerdictStoreBase
 
 __all__ = [
     "IncrementalAuditor",
     "UserCompositionState",
-    "explicit_possibilistic_knowledge",
-    "MAX_EXPLICIT_PAIRS",
 ]
-
-#: Largest explicit ``K`` (in ``(ω, S)`` pairs) the fast path materialises.
-#: Beyond this the preservation check itself would rival a decision, so the
-#: incremental layer falls back to full engine decisions instead.
-MAX_EXPLICIT_PAIRS = 4096
 
 #: Method tag of cumulative verdicts settled by the composition shortcut.
 FAST_PATH_METHOD = "prop-3.10-composition"
-
-
-def explicit_possibilistic_knowledge(
-    space: WorldSpace,
-    assumption: PriorAssumption,
-    max_pairs: int = MAX_EXPLICIT_PAIRS,
-) -> Optional[PossibilisticKnowledge]:
-    """The explicit ``K`` matching a possibilistic prior family, if small.
-
-    Materialises the product ``Ω ⊗ Σ`` (Definition 2.5) the family-based
-    deciders reason over, so Definition 3.9 preservation can be checked
-    directly.  Returns ``None`` whenever the product would exceed
-    ``max_pairs`` or the assumption is not possibilistic — callers must
-    treat ``None`` as "no fast path", never as "not preserving".
-    """
-    if assumption is PriorAssumption.POSSIBILISTIC_IGNORANT:
-        if len(space.full) > max_pairs:
-            return None
-        return PossibilisticKnowledge.product(space.full, [space.full])
-    if assumption is PriorAssumption.POSSIBILISTIC_SUBCUBES:
-        if not isinstance(space, HypercubeSpace):
-            return None
-        # |Ω ⊗ subcubes| = Σ_S |S| = 4^n exactly; check before enumerating.
-        if 4 ** space.n > max_pairs:
-            return None
-        return PossibilisticKnowledge.product(
-            space.full, list(SubcubeFamily(space))
-        )
-    if assumption is PriorAssumption.POSSIBILISTIC_UNRESTRICTED:
-        # |Ω ⊗ P(Ω)| = Σ_S |S| = |Ω| · 2^(|Ω|-1); gate before enumerating.
-        size = len(space.full)
-        if size > 32 or size * (1 << (size - 1)) > max_pairs:
-            return None
-        return PossibilisticKnowledge.full(space)
-    return None
 
 
 @dataclass
@@ -169,7 +126,6 @@ class IncrementalAuditor:
         store: Optional[VerdictStoreBase] = None,
         fast_path: bool = True,
         decision_budget: Optional[float] = None,
-        decision_backend: str = "auto",
     ) -> None:
         from .engine import BatchAuditEngine
 
@@ -182,11 +138,8 @@ class IncrementalAuditor:
             policy,
             decision_budget=decision_budget,
             store=store,
-            decision_backend=decision_backend,
         )
-        self._knowledge = explicit_possibilistic_knowledge(
-            universe.space, policy.assumption
-        )
+        self._family = possibilistic_family(universe.space, policy.assumption)
         self._consumed: List[DisclosureEvent] = []
         self._findings: List[EventFinding] = []
         self._states: Dict[str, UserCompositionState] = {}
@@ -242,36 +195,15 @@ class IncrementalAuditor:
             return False
         return events[: len(self._consumed)] == self._consumed
 
-    def _is_preserving(self, finding: EventFinding) -> bool:
-        """Definition 3.9 preservation of one disclosed set, if checkable.
+    def _is_preserving(self, disclosed: PropertySet) -> bool:
+        """Definition 3.9 for ``K = Ω ⊗ Σ``: ``B = ∅`` or ``B ∈ Σ``.
 
-        The explicit-``K`` check runs when the family's product was small
-        enough to materialise.  When it was not (``_knowledge is None`` —
-        e.g. subcubes beyond ``4^n > MAX_EXPLICIT_PAIRS``), the symbolic
-        backend can still decide preservation from the lowered formula —
-        a handful of SAT calls instead of a ``4^n`` product — provided the
-        engine's backend selection wants the symbolic path.  Any shortfall
-        (no engine, solver timeout) answers ``False``: the fast path is an
-        optimisation, never a correctness dependency.
+        ``False`` when the assumption has no family ``Σ`` (the
+        probabilistic priors): the fast path is an optimisation, never a
+        correctness dependency.
         """
-        if self._knowledge is not None:
-            return is_preserving_possibilistic(
-                self._knowledge, finding.disclosed_set
-            )
-        if not self._engine._symbolic_wanted():
-            return False
-        pair = self._engine._symbolic_for(finding.event.query)
-        from ..runtime.budget import Budget
-        from ..symbolic.decide import preserving_symbolic
-
-        return bool(
-            preserving_symbolic(
-                self._policy.assumption.value,
-                pair.formula_b,
-                pair.n_vars,
-                budget=Budget(self.decision_budget),
-            )
-        )
+        family = self._family
+        return family is not None and (not disclosed or disclosed in family)
 
     def _consume(self, event: DisclosureEvent, finding: EventFinding) -> None:
         """Fold one audited event into its user's composition state."""
@@ -286,7 +218,7 @@ class IncrementalAuditor:
             self.fast_path
             and state.fast
             and finding.verdict.is_safe
-            and self._is_preserving(finding)
+            and self._is_preserving(finding.disclosed_set)
         ):
             # Proposition 3.10: C_t safe+preserving, B safe+preserving ⇒
             # C_{t+1} = C_t ∩ B safe (3.10(2)) and preserving (3.10(1)).
@@ -336,9 +268,7 @@ class IncrementalAuditor:
         )
         try:
             disclosed = self._engine.compile_query(event.query)
-            outcome = self._engine.decide_one(
-                disclosed, pinned=pinned, query=event.query
-            )
+            outcome = self._engine.decide_one(disclosed, pinned=pinned)
             finding = EventFinding(
                 event=event,
                 disclosed_set=disclosed,
@@ -440,7 +370,6 @@ class IncrementalAuditor:
                 if self._engine.store is not None
                 else None
             ),
-            backend_counts=self._engine.backend_counts,
         )
         self._last_audit_key = audit_key
         self._last_report = report

@@ -27,7 +27,12 @@ from ..db.compile import CandidateUniverse
 from ..exceptions import PolicyError
 from ..perf import CacheStats
 from ..possibilistic.auditor import PossibilisticAuditor
-from ..possibilistic.families import PowerSetFamily, SubcubeFamily
+from ..possibilistic.families import (
+    ExplicitFamily,
+    KnowledgeFamily,
+    PowerSetFamily,
+    SubcubeFamily,
+)
 from ..probabilistic.auditor import (
     ProbabilisticAuditor,
     SupermodularAuditor,
@@ -37,6 +42,26 @@ from ..runtime.outcome import DecisionOutcome, RuntimeStats
 from .log import DisclosureEvent, DisclosureLog
 from .policy import AuditPolicy, PriorAssumption
 from .store import StoreStats, VerdictStoreBase
+
+
+def possibilistic_family(
+    space: WorldSpace, assumption: PriorAssumption
+) -> Optional[KnowledgeFamily]:
+    """The ∩-closed family ``Σ`` a possibilistic assumption means.
+
+    The auditor's knowledge is ``K = Ω ⊗ Σ`` (Definition 2.5): power set for
+    ``possibilistic-unrestricted``, subcubes for ``possibilistic-subcubes``,
+    ``{Ω}`` for ``possibilistic-ignorant``.  ``None`` for the probabilistic
+    assumptions.  Every family here contains ``Ω``, so a disclosed set ``B``
+    is K-preserving (Definition 3.9) exactly when ``B = ∅`` or ``B ∈ Σ``.
+    """
+    if assumption is PriorAssumption.POSSIBILISTIC_SUBCUBES:
+        return SubcubeFamily(space)
+    if assumption is PriorAssumption.POSSIBILISTIC_UNRESTRICTED:
+        return PowerSetFamily(space)
+    if assumption is PriorAssumption.POSSIBILISTIC_IGNORANT:
+        return ExplicitFamily(space, [space.full])
+    return None
 
 
 def make_decider(
@@ -77,21 +102,10 @@ def make_decider(
         return SupermodularAuditor(space, rng=rng).audit
     if assumption is PriorAssumption.UNRESTRICTED:
         return audit_unconstrained
-    if assumption is PriorAssumption.POSSIBILISTIC_SUBCUBES:
-        return PossibilisticAuditor.from_family(
-            space.full, SubcubeFamily(space)
-        ).audit
-    if assumption is PriorAssumption.POSSIBILISTIC_UNRESTRICTED:
-        return PossibilisticAuditor.from_family(
-            space.full, PowerSetFamily(space)
-        ).audit
-    if assumption is PriorAssumption.POSSIBILISTIC_IGNORANT:
-        from ..possibilistic.families import ExplicitFamily
-
-        return PossibilisticAuditor.from_family(
-            space.full, ExplicitFamily(space, [space.full])
-        ).audit
-    raise PolicyError(f"unsupported assumption {assumption}")
+    family = possibilistic_family(space, assumption)
+    if family is None:
+        raise PolicyError(f"unsupported assumption {assumption}")
+    return PossibilisticAuditor.from_family(space.full, family).audit
 
 
 @dataclass(frozen=True)
@@ -131,10 +145,6 @@ class AuditReport:
     (breaker trips, budget expiries, store failures) — all zeros
     on a clean run.  ``store_stats`` is the persistent verdict store's
     counters when one was attached (``None`` otherwise).
-    ``backend_counts`` maps each deciding backend name (``"mask"``,
-    ``"symbolic-builtin"``, ``"symbolic-z3"``) to the number of decisions
-    it produced, accumulated across the engine's lifetime like
-    ``cache_stats`` (``None`` from the per-event reference path).
     """
 
     policy: AuditPolicy
@@ -142,7 +152,6 @@ class AuditReport:
     cache_stats: Optional[CacheStats] = None
     runtime_stats: Optional[RuntimeStats] = None
     store_stats: Optional[StoreStats] = None
-    backend_counts: Optional[Dict[str, int]] = None
 
     @property
     def degraded_findings(self) -> List[EventFinding]:
@@ -189,11 +198,9 @@ class OfflineAuditor:
         universe: CandidateUniverse,
         policy: AuditPolicy,
         rng: Optional[np.random.Generator] = None,
-        decision_backend: str = "auto",
     ) -> None:
         self._universe = universe
         self._policy = policy
-        self.decision_backend = decision_backend
         self._rng = rng or np.random.default_rng(0)
         self._audited = universe.compile_boolean(policy.audit_query)
         self._decider = self._build_decider()
@@ -274,11 +281,7 @@ class OfflineAuditor:
         from .engine import BatchAuditEngine
 
         if self._engine is None:
-            self._engine = BatchAuditEngine(
-                self._universe,
-                self._policy,
-                decision_backend=self.decision_backend,
-            )
+            self._engine = BatchAuditEngine(self._universe, self._policy)
         self._engine.decision_budget = decision_budget
         return self._engine.audit_log(log)
 
@@ -287,7 +290,6 @@ class OfflineAuditor:
         log: DisclosureLog,
         since: Optional[int] = None,
         store: Optional[VerdictStoreBase] = None,
-        fast_path: bool = True,
         decision_budget: Optional[float] = None,
     ) -> AuditReport:
         """Audit the log as a stream, reusing everything already decided.
@@ -303,9 +305,7 @@ class OfflineAuditor:
 
         ``since`` restricts the report to events with ``time >= since``
         (``None`` reports the whole log); earlier events still feed the
-        per-user cumulative states.  ``fast_path=False`` disables the
-        Proposition 3.10 composition shortcut — a debugging knob that must
-        never change verdicts.
+        per-user cumulative states.
         """
         from .incremental import IncrementalAuditor
 
@@ -314,11 +314,8 @@ class OfflineAuditor:
                 self._universe,
                 self._policy,
                 store=store,
-                fast_path=fast_path,
                 decision_budget=decision_budget,
-                decision_backend=self.decision_backend,
             )
-        self._incremental.fast_path = fast_path
         self._incremental.decision_budget = decision_budget
         return self._incremental.audit_log(log, since=since)
 

@@ -39,18 +39,6 @@ def render_report(report: AuditReport, width: int = 78) -> str:
         lines.append(f"verdict store: {store}")
     if report.runtime_stats is not None and report.runtime_stats.native_backend:
         lines.append(f"kernel backend: {report.runtime_stats.native_backend}")
-    if report.runtime_stats is not None and report.runtime_stats.decision_backend:
-        lines.append(
-            f"decision backend: {report.runtime_stats.decision_backend}"
-        )
-    if report.backend_counts:
-        lines.append(
-            "decisions: "
-            + "  ".join(
-                f"{name}: {count}"
-                for name, count in sorted(report.backend_counts.items())
-            )
-        )
     if report.runtime_stats is not None and report.runtime_stats.any_degradation:
         lines.append(f"runtime degradation: {report.runtime_stats}")
         for finding in report.degraded_findings:

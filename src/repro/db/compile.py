@@ -9,10 +9,10 @@ each world of the hypercube ``{0,1}^n`` is the database view containing
 exactly the chosen candidates.
 
 Every query then is a Boolean function of the ``n`` presence bits, and the
-universe compiles it once, to a formula (:mod:`repro.symbolic.lower`).  The
+universe compiles it once, to a formula (:mod:`repro.db.lower`).  The
 :class:`~repro.core.worlds.PropertySet` the Section 4/5/6 machinery decides
-on is that formula's truth table, so the mask deciders and the symbolic
-backend share one front end and cannot disagree about what a query means.
+on is that formula's truth table (:func:`repro.db.formula.truth_table`): one
+front end, so no two deciders can disagree about what a query means.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from typing import Optional, Sequence, Tuple
 
 from ..core.worlds import HypercubeSpace, PropertySet
 from ..exceptions import QueryError
-from ..symbolic import lower
-from ..symbolic.formula import Formula, truth_table
+from . import lower
 from .database import Database, DatabaseView, Record
+from .formula import Formula, truth_table
 from .query import BooleanQuery
 
 
@@ -140,26 +140,28 @@ class CandidateUniverse:
 
     # -- lowering ------------------------------------------------------------------
     # The one front end: a formula over the presence variables, built in
-    # O(|query| · n).  The symbolic backend decides on it directly.
+    # O(|query| · n).
 
     def lower_boolean(self, query: BooleanQuery) -> Formula:
         """The formula ``φ`` with ``φ(ω) ⟺ query(view_of(ω))`` on every world.
 
-        Every table the query names must exist, whether or not evaluation
-        would reach it; otherwise :class:`~repro.exceptions.QueryError`.
+        Every table the query names must exist, and every column its
+        predicates or projection name must exist in that table, whether or
+        not evaluation would reach it; otherwise
+        :class:`~repro.exceptions.QueryError`.
         """
-        lower.check_tables(query, self._database)
+        lower.check_names(query, self._database)
         return lower.lower_boolean(query, self._candidates)
 
     def lower_answer(self, query, actual_world: Optional[int] = None) -> Formula:
         """Formula form of :meth:`compile_answer` (the equal-output set).
 
-        ``ω*`` is ``actual_world`` (default: the inserted records).  Tables
+        ``ω*`` is ``actual_world`` (default: the inserted records).  Names
         are checked as in :meth:`lower_boolean`.  Only :mod:`repro.db`
         queries lower; anything else, a callable included, raises
         :class:`~repro.exceptions.SymbolicLoweringError`.
         """
-        lower.check_tables(query, self._database)
+        lower.check_names(query, self._database)
         if actual_world is None:
             actual_world = self.actual_world()
         return lower.lower_answer(

@@ -58,16 +58,6 @@ class NativeBackendError(ReproError):
     """
 
 
-class SymbolicBackendError(ReproError):
-    """``REPRO_SYMBOLIC=require`` but no symbolic decision engine is usable.
-
-    Under ``auto`` (the default) a missing or faulted symbolic engine
-    degrades to the mask path — counted on ``RuntimeStats``, never silent;
-    ``require`` turns that degradation into this error so CI legs can prove
-    the symbolic path actually ran.
-    """
-
-
 class MalformedEventError(ReproError, ValueError):
     """A disclosure-log entry is malformed (bad user, time, or query).
 
@@ -125,7 +115,7 @@ class ParseError(QueryError):
 class SymbolicLoweringError(QueryError):
     """A query could not be lowered to a propositional formula.
 
-    Raised by the query compiler (:mod:`repro.symbolic.lower`) for inputs
+    Raised by the query compiler (:mod:`repro.db.lower`) for inputs
     that are not :mod:`repro.db` queries, e.g. an opaque callable passed
     to ``compile_answer``.  The audit engine reports it, like any other
     :class:`QueryError`, as a :class:`MalformedEventError`.

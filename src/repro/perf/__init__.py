@@ -81,16 +81,4 @@ def machine_info() -> Dict[str, Any]:
         info["kernel_backend"] = _native.backend_name()
     except Exception:  # pragma: no cover - backend probing must never fail
         info["kernel_backend"] = None
-    try:
-        import z3  # type: ignore[import-not-found]
-
-        info["z3"] = z3.get_version_string()
-    except Exception:
-        info["z3"] = None
-    try:
-        from ..symbolic import backend_name
-
-        info["decision_backend"] = backend_name()
-    except Exception:  # pragma: no cover - backend probing must never fail
-        info["decision_backend"] = None
     return info

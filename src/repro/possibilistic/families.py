@@ -21,8 +21,9 @@ analytically where possible.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterable, Iterator, List, Optional, Set
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from .. import _bitops
 from ..core.events import is_up_set, up_closure
@@ -125,15 +126,30 @@ class SubcubeFamily(KnowledgeFamily):
             )
 
     def __contains__(self, candidate: PropertySet) -> bool:
+        """Whether ``candidate`` is a non-empty subcube, from ``2n`` mask ops.
+
+        A non-empty set is a subcube iff, for each coordinate, it lies in
+        one half of the cube or equals its own flip along that coordinate.
+        Coordinate ``i``'s stripe (the worlds with bit ``i`` set, built
+        once per family) splits the mask into halves ``hi`` and ``lo``,
+        and the flip maps ``lo`` onto ``lo << 2^i``.
+        """
         self._space.check_same(candidate.space)
-        if not candidate:
+        mask = candidate.mask
+        if not mask:
             return False
-        m_and = m_or = None
-        for w in candidate:
-            m_and = w if m_and is None else m_and & w
-            m_or = w if m_or is None else m_or | w
-        stars = m_or & ~m_and
-        return len(candidate) == 1 << _bitops.popcount(stars)
+        for offset, stripe in self._stripes:
+            hi = mask & stripe
+            if hi and hi != mask and hi != (mask ^ hi) << offset:
+                return False
+        return True
+
+    @functools.cached_property
+    def _stripes(self) -> List[Tuple[int, int]]:
+        """``(2^i, worlds with bit i set)`` for each coordinate ``i``."""
+        size = self._space.size
+        offsets = [1 << i for i in range(self._n)]
+        return [(offset, _bitops.stripe_mask(offset, size)) for offset in offsets]
 
     def is_intersection_closed(self) -> bool:
         return True

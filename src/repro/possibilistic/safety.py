@@ -111,39 +111,3 @@ def audit_interval_based(
                     intervals_checked=checked,
                 )
     return AuditVerdict.safe("minimal-intervals", intervals_checked=checked)
-
-
-def audit_with_backend(
-    mask_decider,
-    audited: PropertySet,
-    disclosed: PropertySet,
-    assumption_value: str,
-    symbolic_pair=None,
-    budget=None,
-) -> AuditVerdict:
-    """Backend dispatch for one possibilistic ``Safe_K`` decision.
-
-    Tries the symbolic backend first when a lowered ``(A, B)`` pair is
-    attached; any shortfall — backend off or load-faulted, solver timeout —
-    falls back to ``mask_decider`` with the degradation recorded in the
-    verdict's ``details["degraded"]`` tuple (the engine counts it on
-    ``RuntimeStats``), so the fallback is never silent and never changes a
-    verdict.  Without a symbolic pair this is exactly the mask path.
-    """
-    degradation = None
-    if symbolic_pair is not None:
-        from ..symbolic.decide import decide_safe
-
-        verdict = decide_safe(assumption_value, symbolic_pair, budget=budget)
-        if verdict is None:
-            degradation = "symbolic-unavailable:mask"
-        elif not verdict.is_decided:
-            degradation = "symbolic-timeout:mask"
-        else:
-            return verdict
-    fallback = mask_decider(audited, disclosed)
-    if degradation is not None:
-        existing = fallback.details.get("degraded", ())
-        fallback.details["degraded"] = tuple(existing) + (degradation,)
-        fallback.details.setdefault("backend", "mask")
-    return fallback

@@ -39,13 +39,6 @@ site               effect at the probe point
                    (``SIGKILL``) before dispatching a batch to it — in-flight
                    requests are shed with a retry hint and the executor is
                    restarted and replayed from its journals
-``symbolic-load``  the symbolic decision engine fails to load during
-                   :func:`repro.symbolic.configure` — ``auto`` mode degrades
-                   to the mask path (counted), ``require`` raises
-``symbolic-timeout``  one symbolic solver call reports ``unknown`` as if it
-                   timed out — engine decisions degrade to the mask path
-                   (verdict unchanged); standalone symbolic audits return
-                   ``UNKNOWN("solver-timeout")``
 =================  ==========================================================
 
 Plans activate either programmatically (:func:`install` / the
@@ -83,8 +76,6 @@ __all__ = [
     "SOLVER_TIMEOUT",
     "STORE_SQL_WRITE",
     "STORE_WRITE",
-    "SYMBOLIC_LOAD",
-    "SYMBOLIC_TIMEOUT",
     "active",
     "fire",
     "inject",
@@ -103,8 +94,6 @@ SLOW_TENANT = "slow-tenant"
 DRAIN_FLUSH = "drain-flush"
 COMMIT_FSYNC_FAIL = "commit-fsync-fail"
 EXECUTOR_CRASH = "executor-crash"
-SYMBOLIC_LOAD = "symbolic-load"
-SYMBOLIC_TIMEOUT = "symbolic-timeout"
 
 KNOWN_SITES = (
     SOLVER_TIMEOUT,
@@ -118,8 +107,6 @@ KNOWN_SITES = (
     DRAIN_FLUSH,
     COMMIT_FSYNC_FAIL,
     EXECUTOR_CRASH,
-    SYMBOLIC_LOAD,
-    SYMBOLIC_TIMEOUT,
 )
 
 ENV_PLAN = "REPRO_FAULTS"

@@ -38,7 +38,7 @@ class DecisionOutcome:
         ``"verdict-store"``).
     degraded:
         Whether the decision left its normal path (breaker pin, budget
-        skip, pipeline-error fallback, symbolic fallback to masks).
+        skip, pipeline-error fallback).
     degradation:
         Why, when ``degraded`` — e.g. ``"breaker-pinned"``,
         ``"budget-exhausted"``, ``"pipeline-error:StageTimeoutError"``.
@@ -92,14 +92,13 @@ class RuntimeStats:
     budget_exhausted: int = 0  # decisions that ran out of deadline budget
     degraded_decisions: int = 0  # findings whose outcome is degraded
     store_failures: int = 0  # verdict-store loads/flushes that failed
-    symbolic_degraded: int = 0  # symbolic decisions that fell back to the mask path
     #: Selected decision-kernel backend ("native"/"numpy-fallback"; "" until
     #: an audit stamped it).  Provenance, not a degradation counter: it is
     #: excluded from ``merge`` sums, ``any_degradation`` and ``__str__``.
     native_backend: str = ""
-    #: Requested decision backend for Safe_K checks ("auto"/"mask"/
-    #: "symbolic"; "" until an audit stamped it).  Provenance like
-    #: ``native_backend`` — string, so excluded from sums and degradation.
+    #: Decision backend for Safe_K checks (always "mask" once an audit
+    #: stamped it, "" before).  Provenance like ``native_backend`` —
+    #: string, so excluded from sums and degradation.
     decision_backend: str = ""
 
     def merge(self, other: "RuntimeStats") -> "RuntimeStats":

@@ -268,10 +268,7 @@ class BatchDecisionExecutor:
                 None if any(b is None for b in budgets) else max(budgets)
             )
             try:
-                decided = engine.decide_many(
-                    [entry[4] for entry in unpinned],
-                    queries=[entry[3] for entry in unpinned],
-                )
+                decided = engine.decide_many([entry[4] for entry in unpinned])
             finally:
                 engine.decision_budget = self.manager.decision_budget
             outcomes = {
@@ -331,7 +328,6 @@ def _child_main(sock: socket.socket, manager: ShardManager, config: _ExecutorCon
         journal_dir=config.journal_dir,
         store=store,
         decision_budget=manager.decision_budget,
-        fast_path=manager.fast_path,
     )
     own.gateway_stats.workers = 1
     own.recover_all()

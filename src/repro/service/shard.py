@@ -83,7 +83,6 @@ class TenantShard:
         breakers: BreakerRegistry,
         stats: TenantStats,
         decision_budget: Optional[float] = None,
-        fast_path: bool = True,
     ) -> None:
         self.tenant = tenant
         self.journal = EventJournal(journal_path)
@@ -93,7 +92,6 @@ class TenantShard:
             universe,
             policy,
             store=store,
-            fast_path=fast_path,
             decision_budget=decision_budget,
         )
         #: Set when a journal append crashed mid-frame; every entry point
@@ -262,7 +260,6 @@ class ShardManager:
         breakers: Optional[BreakerRegistry] = None,
         gateway_stats: Optional[GatewayStats] = None,
         decision_budget: Optional[float] = None,
-        fast_path: bool = True,
     ) -> None:
         self.universe = universe
         self.policy = policy
@@ -273,14 +270,12 @@ class ShardManager:
             gateway_stats if gateway_stats is not None else GatewayStats()
         )
         self.decision_budget = decision_budget
-        self.fast_path = fast_path
         self._shards: Dict[str, TenantShard] = {}
         # The shared decision engine: verdicts key on (policy, universe,
         # disclosed set) and are tenant-independent, so its verdict cache,
-        # compiled-query memo, symbolic-lowering memo, and tensor cache are
-        # shared by every tenant shard (ablation-sibling style) — one
-        # tenant's cold decision warms every neighbour, in memory, without
-        # a store round trip.  The batched decision plane also decides
+        # compiled-query memo and tensor cache are shared by every tenant
+        # shard (ablation-sibling style) — one tenant's cold decision warms
+        # every neighbour, in memory, without a store round trip.  The batched decision plane also decides
         # whole cross-tenant batches through this engine directly.
         self.engine = BatchAuditEngine(
             universe,
@@ -355,7 +350,6 @@ class ShardManager:
             breakers=self.breakers,
             stats=self.gateway_stats.tenant(tenant),
             decision_budget=self.decision_budget,
-            fast_path=self.fast_path,
         )
         # Share the tenant-independent decision state with the manager's
         # engine, exactly like audit_ablation shares it across siblings.
@@ -363,7 +357,6 @@ class ShardManager:
         engine._cache = self.engine._cache
         engine._compiled = self.engine._compiled
         engine._compile_stats = self.engine._compile_stats
-        engine._formulas = self.engine._formulas
         engine._tensor_cache = self.engine._tensor_cache
         return shard
 

@@ -166,17 +166,26 @@ UNKNOWN_TABLE_TEXTS = [
     "EXISTS(SELECT * FROM facts WHERE patient = 'Nobody') AND "
     "EXISTS(SELECT * FROM nosuch WHERE patient = 'Bob')",
 ]
+#: Misspelt columns that no candidate record ever evaluates: behind a
+#: conjunct that matches nothing, and inside a negated disjunction.
+UNKNOWN_COLUMN_TEXTS = [
+    "EXISTS(SELECT * FROM facts WHERE patient = 'Nobody' AND nosuch = 'Bob')",
+    "EXISTS(SELECT * FROM facts WHERE NOT (patient = 'Bob' OR nosuch = 'x'))",
+]
 
 
 class TestCompileErrors:
     @pytest.mark.parametrize(
-        "text", UNKNOWN_TABLE_TEXTS, ids=["direct", "short-circuit"]
+        "text, message",
+        [(text, "no such table") for text in UNKNOWN_TABLE_TEXTS]
+        + [(text, "has no column") for text in UNKNOWN_COLUMN_TEXTS],
+        ids=["direct", "short-circuit", "column", "column-nested"],
     )
-    def test_compile_log_names_the_event(self, hospital, text):
+    def test_compile_log_names_the_event(self, hospital, text, message):
         log = repeated_log(3)
         log.record(2010, "mallory", parse_boolean_query(text))
         engine = BatchAuditEngine(hospital, make_policy())
-        with pytest.raises(MalformedEventError, match="no such table") as info:
+        with pytest.raises(MalformedEventError, match=message) as info:
             engine.compile_log(log)
         assert info.value.event_index == 3
 
@@ -193,6 +202,12 @@ class TestOneDecisionPath:
     def test_more_than_one_worker_is_rejected(self, hospital):
         with pytest.raises(ValueError):
             BatchAuditEngine(hospital, make_policy(), n_workers=2)
+
+    def test_every_decision_runs_on_masks(self, hospital):
+        engine = BatchAuditEngine(hospital, make_policy())
+        report = engine.audit_log(repeated_log(3))
+        assert engine.decision_backend == "mask"
+        assert report.runtime_stats.decision_backend == "mask"
 
 
 class TestAblationSharing:

@@ -9,8 +9,11 @@ K-preserving.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro import _bitops
 from repro.audit import (
     AuditPolicy,
     DisclosureLog,
@@ -18,10 +21,7 @@ from repro.audit import (
     OfflineAuditor,
     PriorAssumption,
 )
-from repro.audit.incremental import (
-    FAST_PATH_METHOD,
-    explicit_possibilistic_knowledge,
-)
+from repro.audit.incremental import FAST_PATH_METHOD
 from repro.audit.store import VerdictStore
 from repro.core.preserving import (
     is_preserving_possibilistic,
@@ -29,7 +29,18 @@ from repro.core.preserving import (
 )
 from repro.core.privacy import safe_possibilistic
 from repro.core.worlds import HypercubeSpace
-from repro.db import parse_boolean_query
+from repro.db import (
+    CandidateUniverse,
+    ColumnType,
+    Database,
+    Exists,
+    TableSchema,
+    column_eq,
+    generate_disclosure_log,
+    generate_registry,
+    parse_boolean_query,
+)
+from tests.audit.explicit_knowledge import explicit_possibilistic_knowledge
 from tests.workloads import AUDIT_QUERY, build_mixed_density_log, build_registry
 
 SEEDS = (3, 11, 29)
@@ -376,3 +387,130 @@ class TestExplicitKnowledge:
             PriorAssumption.UNRESTRICTED,
         ):
             assert explicit_possibilistic_knowledge(space, assumption) is None
+
+
+def universe_of_size(n: int) -> CandidateUniverse:
+    db = Database()
+    db.create_table(TableSchema.build("t", v=ColumnType.INTEGER))
+    return CandidateUniverse(db, [db.insert("t", v=i) for i in range(n)])
+
+
+def auditor_over(universe: CandidateUniverse, assumption) -> IncrementalAuditor:
+    policy = AuditPolicy(
+        audit_query=Exists("t", column_eq("v", 0)), assumption=assumption
+    )
+    return IncrementalAuditor(universe, policy)
+
+
+def sets_to_check(space: HypercubeSpace, rng: random.Random):
+    """Every set of Ω at n ≤ 3.  Beyond: ∅, Ω, every subcube, each subcube
+    with one random world flipped, and random sets."""
+    size = space.size
+    if space.n <= 3:
+        masks = set(range(1 << size))
+    else:
+        full = (1 << size) - 1
+        masks = {0, full}
+        for star, agreed in _bitops.all_match_vectors(space.n):
+            cube = _bitops.box_mask(star, agreed)
+            masks.add(cube)
+            masks.add(cube ^ (1 << rng.randrange(size)))
+        masks.update(rng.getrandbits(size) for _ in range(150))
+    return [space.from_mask(mask) for mask in sorted(masks)]
+
+
+class TestPreservingByFamily:
+    """Definition 3.9 as family membership (``B = ∅`` or ``B ∈ Σ``) against
+    the explicit-``K`` oracle, exhaustively at n ≤ 3 and on every subcube,
+    its one-world neighbours and random sets up to n = 6."""
+
+    @staticmethod
+    def check(assumption, n_range, seed):
+        rng = random.Random(seed)
+        checked = {True: 0, False: 0}
+        for n in n_range:
+            universe = universe_of_size(n)
+            auditor = auditor_over(universe, assumption)
+            knowledge = explicit_possibilistic_knowledge(universe.space, assumption)
+            assert knowledge is not None, n
+            for disclosed in sets_to_check(universe.space, rng):
+                expected = is_preserving_possibilistic(knowledge, disclosed)
+                assert auditor._is_preserving(disclosed) is expected, (
+                    n,
+                    disclosed.mask,
+                )
+                checked[expected] += 1
+        return checked
+
+    def test_ignorant(self):
+        checked = self.check(PriorAssumption.POSSIBILISTIC_IGNORANT, range(1, 7), 5)
+        assert min(checked.values()) > 0
+
+    def test_subcubes(self):
+        checked = self.check(PriorAssumption.POSSIBILISTIC_SUBCUBES, range(1, 7), 6)
+        assert min(checked.values()) > 0
+
+    def test_unrestricted(self):
+        """``Ω ⊗ P(Ω)`` has ``|Ω|·2^(|Ω|−1)`` pairs, too many to build past
+        n = 3; above that every set must still be preserving."""
+        assumption = PriorAssumption.POSSIBILISTIC_UNRESTRICTED
+        checked = self.check(assumption, range(1, 4), 7)
+        assert checked[False] == 0
+        rng = random.Random(8)
+        for n in range(4, 7):
+            universe = universe_of_size(n)
+            auditor = auditor_over(universe, assumption)
+            for disclosed in sets_to_check(universe.space, rng):
+                assert auditor._is_preserving(disclosed)
+
+    def test_probabilistic_families_never_preserve(self):
+        universe = universe_of_size(2)
+        for assumption in (
+            PriorAssumption.PRODUCT,
+            PriorAssumption.LOG_SUPERMODULAR,
+            PriorAssumption.UNRESTRICTED,
+        ):
+            auditor = auditor_over(universe, assumption)
+            assert not auditor._is_preserving(universe.space.full)
+
+
+class TestCompositionAtScale:
+    """Prop 3.10 past the reach of an explicit ``K``: subcubes at n = 10,
+    where ``Ω ⊗ Σ`` has 4^10 pairs."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        database, candidates = generate_registry(
+            n_patients=6, n_hypothetical=3, seed=2
+        )
+        universe = CandidateUniverse(database, candidates)
+        assert universe.space.n == 10
+        target = universe.candidates[0]
+        policy = AuditPolicy(
+            audit_query=Exists(
+                "diagnoses",
+                column_eq("patient", target["patient"])
+                & column_eq("disease", target["disease"]),
+            ),
+            assumption=PriorAssumption.POSSIBILISTIC_SUBCUBES,
+        )
+        log = generate_disclosure_log(universe, n_events=600, n_users=100, seed=1)
+        return universe, policy, log
+
+    def test_fast_path_fires_with_unchanged_statuses(self, setting):
+        universe, policy, log = setting
+        fast = IncrementalAuditor(universe, policy)
+        fast_report = fast.audit_log(log)
+        slow = IncrementalAuditor(universe, policy, fast_path=False)
+        slow_report = slow.audit_log(log)
+        reference = OfflineAuditor(universe, policy)
+
+        assert sum(s.fast_path_hits for s in fast.states.values()) > 0
+        assert all(s.fast_path_hits == 0 for s in slow.states.values())
+        assert statuses(fast_report) == statuses(slow_report)
+        assert statuses(fast_report) == statuses(reference.audit_log(log))
+        assert fast.states.keys() == slow.states.keys()
+        for user in fast.states:
+            status = fast.cumulative_verdict(user).status
+            assert status is slow.cumulative_verdict(user).status, user
+            assert status is reference.audit_user_cumulative(log, user).verdict.status

@@ -14,7 +14,7 @@ from repro.db import (
     column_eq,
     parse_boolean_query,
 )
-from repro.db.query import RowTrue
+from repro.db.query import RowNot, RowTrue
 from repro.exceptions import QueryError, SymbolicLoweringError
 
 
@@ -26,6 +26,8 @@ def setting():
             "facts", patient=ColumnType.TEXT, kind=ColumnType.TEXT
         )
     )
+    # A table with no candidate records: lowering never reads its rows.
+    db.create_table(TableSchema.build("visits", patient=ColumnType.TEXT))
     r1 = db.insert("facts", patient="Bob", kind="hiv")
     r2 = db.insert("facts", patient="Bob", kind="transfusion")
     universe = CandidateUniverse(db, [r1, r2])
@@ -146,22 +148,45 @@ class TestCompileAnswer:
             universe.lower_answer(count_rows)
 
 
-#: Well-formed queries that name a table the database lacks: directly, and
-#: behind a conjunct that matches nothing, so evaluation never reaches it.
-UNKNOWN_TABLE_QUERIES = [
-    Exists("nosuch", RowTrue()),
-    Exists("facts", column_eq("kind", "dialysis")) & Exists("nosuch", RowTrue()),
-    Select("nosuch", RowTrue()),
-]
+#: Well-formed queries that name a table the database lacks, or a column
+#: its table lacks: directly, behind a conjunct that matches nothing (so
+#: evaluation never reaches the name), in a table without candidates, nested
+#: in a row predicate, and as a projected column.
+UNKNOWN_NAME_QUERIES = {
+    "direct": (Exists("nosuch", RowTrue()), "no such table"),
+    "short-circuit": (
+        Exists("facts", column_eq("kind", "dialysis")) & Exists("nosuch", RowTrue()),
+        "no such table",
+    ),
+    "select": (Select("nosuch", RowTrue()), "no such table"),
+    "column-no-candidates": (
+        Exists("visits", column_eq("nosuch", 1)),
+        "has no column",
+    ),
+    "column-short-circuit": (
+        Exists("facts", column_eq("kind", "dialysis") & column_eq("nosuch", 1)),
+        "has no column",
+    ),
+    "column-nested": (
+        Exists("visits", RowNot(column_eq("patient", "Bob") | column_eq("nosuch", 1))),
+        "has no column",
+    ),
+    "select-column": (
+        Select("facts", column_eq("kind", "dialysis"), ("nosuch",)),
+        "has no column",
+    ),
+}
 
 
 class TestCompileErrors:
     @pytest.mark.parametrize(
-        "query", UNKNOWN_TABLE_QUERIES, ids=["direct", "short-circuit", "select"]
+        "query, message",
+        list(UNKNOWN_NAME_QUERIES.values()),
+        ids=list(UNKNOWN_NAME_QUERIES),
     )
-    def test_unknown_table_raises(self, setting, query):
+    def test_unknown_table_raises(self, setting, query, message):
         _, universe, _, _ = setting
-        with pytest.raises(QueryError, match="no such table"):
+        with pytest.raises(QueryError, match=message):
             universe.compile_boolean(query)
-        with pytest.raises(QueryError, match="no such table"):
+        with pytest.raises(QueryError, match=message):
             universe.compile_answer(query)

@@ -4,8 +4,8 @@
 tables of the lowered formulas (``lower_boolean``/``lower_answer`` and
 ``truth_table``).  The oracle, :mod:`tests.db.interpreter`, evaluates the
 query on the database view of every world.  The two must agree bit for bit.
-Compilation does not depend on the symbolic decision backend, so this suite
-runs under every ``REPRO_SYMBOLIC`` setting, ``off`` included.
+``truth_table`` itself is held to the per-world formula interpreter
+:mod:`tests.db.formula_interpreter`.
 """
 
 from __future__ import annotations
@@ -32,17 +32,10 @@ from repro.db.query import (
     Select,
     column_eq,
 )
+from repro.db.formula import AndF, AtLeastF, ConstF, NotF, OrF, Var, truth_table
 from repro.db.workload import generate_disclosure_log, generate_registry
-from repro.symbolic.formula import (
-    AndF,
-    AtLeastF,
-    ConstF,
-    NotF,
-    OrF,
-    Var,
-    eval_formula,
-    truth_table,
-)
+from repro.exceptions import SymbolicLoweringError
+from tests.db.formula_interpreter import eval_formula
 from tests.db.interpreter import interpret_answer, interpret_boolean
 
 N_RANGE = range(1, 11)
@@ -274,3 +267,65 @@ class TestTruthTable:
     def test_variable_outside_the_cube_rejected(self):
         with pytest.raises(ValueError):
             truth_table(Var(4), 3)
+
+
+class TestDbLowering:
+    """``eval_formula`` on the lowered formula against the compiled mask,
+    world by world: the compiler's truth table of each real query."""
+
+    @staticmethod
+    def assert_evaluates_like_mask(formula, mask, n, query):
+        for world in range(1 << n):
+            assert eval_formula(formula, world) == bool((mask >> world) & 1), (
+                str(query),
+                world,
+            )
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_lower_boolean_matches_compile_boolean(self, n):
+        scenario = Scenario(random.Random(600 + n), n)
+        universe = scenario.universe
+        for _ in range(40):
+            query = scenario.boolean()
+            self.assert_evaluates_like_mask(
+                universe.lower_boolean(query),
+                universe.compile_boolean(query).mask,
+                n,
+                query,
+            )
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_lower_answer_matches_compile_answer(self, n):
+        scenario = Scenario(random.Random(700 + n), n)
+        universe = scenario.universe
+        for _ in range(30):
+            query = scenario.boolean()
+            self.assert_evaluates_like_mask(
+                universe.lower_answer(query),
+                universe.compile_answer(query).mask,
+                n,
+                query,
+            )
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_lower_answer_select_matches(self, n):
+        scenario = Scenario(random.Random(800 + n), n)
+        universe = scenario.universe
+        for _ in range(25):
+            query = scenario.select()
+            self.assert_evaluates_like_mask(
+                universe.lower_answer(query),
+                universe.compile_answer(query).mask,
+                n,
+                query,
+            )
+
+    def test_opaque_query_raises_lowering_error(self):
+        universe = Scenario(random.Random(0), 3).universe
+
+        class Opaque:
+            def evaluate(self, view):  # pragma: no cover - never called
+                return True
+
+        with pytest.raises(SymbolicLoweringError):
+            universe.lower_answer(Opaque())

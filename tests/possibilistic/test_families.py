@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,30 @@ class TestSubcubeFamily:
 
     def test_closed(self):
         assert SubcubeFamily(HypercubeSpace(2)).is_intersection_closed()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_membership_matches_member_loop(self, n):
+        """The stripe test against a loop over all 3^n members: every set
+        at n ≤ 3; beyond, every subcube, each with one world flipped, the
+        union of two subcubes, and random sets."""
+        space = HypercubeSpace(n)
+        family = SubcubeFamily(space)
+        members = [member.mask for member in family]
+        member_masks = set(members)
+        rng = random.Random(n)
+        if n <= 3:
+            masks = set(range(1 << space.size))
+        else:
+            masks = set(members)
+            masks.update(m ^ (1 << rng.randrange(space.size)) for m in members)
+            masks.update(rng.choice(members) | rng.choice(members) for _ in range(300))
+            masks.update(rng.getrandbits(space.size) for _ in range(300))
+        hits = 0
+        for mask in masks:
+            expected = mask in member_masks
+            assert (space.from_mask(mask) in family) is expected, (n, mask)
+            hits += expected
+        assert hits == len(member_masks)
 
 
 class TestIntegerRectangleFamily:

@@ -127,6 +127,9 @@ class TestBatchedVerdictIdentity:
             "EXISTS(SELECT * FROM nosuch WHERE patient = 'Bob')",
             "EXISTS(SELECT * FROM registry WHERE patient = 'Nobody') AND "
             "EXISTS(SELECT * FROM nosuch WHERE patient = 'Bob')",
+            # A misspelt column that no candidate record ever evaluates.
+            "EXISTS(SELECT * FROM registry WHERE patient = 'Nobody' "
+            "AND nosuch = 'Bob')",
         ]
         for attempt, text in enumerate(bad_texts):
             manager = make_manager(scenario, tmp_path, subdir=f"run{attempt}")
