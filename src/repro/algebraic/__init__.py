@@ -25,7 +25,6 @@ from .critical import (
     univariate_real_roots,
 )
 from .encode import (
-    TensorCache,
     evaluate_gap,
     event_multilinear_coeffs,
     event_polynomial,
@@ -130,7 +129,6 @@ __all__ = [
     "sampled_minimum",
     "safety_gap_polynomial",
     "safety_gap_tensor",
-    "TensorCache",
     "simplex_constraints",
     "simplex_sampler",
     "solve_bivariate_system",

@@ -15,9 +15,7 @@ decision procedure.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache
-from typing import Tuple
 
 import numpy as np
 
@@ -25,7 +23,9 @@ from ..core.worlds import HypercubeSpace, PropertySet
 from ..exceptions import SpaceMismatchError
 from .polynomial import Polynomial
 
-#: Dimension guard for dense tensor computations (3^n entries).
+#: Dimension guard for every dense ``3^n`` tensor: the safety-gap tensor
+#: here, the box-count tensors of :mod:`repro.probabilistic.matchbox`, and
+#: the product pipeline's box criterion and exact stage.
 MAX_TENSOR_DIMENSION = 12
 
 
@@ -142,55 +142,6 @@ def safety_gap_tensor(audited: PropertySet, disclosed: PropertySet) -> np.ndarra
     nonzero_ab = np.flatnonzero(cab)
     np.subtract.at(flat, tern[nonzero_ab], cab[nonzero_ab])
     return flat.reshape((3,) * n)
-
-
-class TensorCache:
-    """Bounded LRU cache of safety-gap tensors keyed by pair fingerprint.
-
-    Ablation sweeps and duplicate-heavy disclosure logs decide the same
-    ``(A, B)`` pair against many prior families; the gap tensor depends only
-    on the pair, so rebuilding it per decision is pure waste.  Keys are the
-    cross-process-stable :meth:`~repro.core.worlds.PropertySet.fingerprint`
-    digests, so a cache can be rebuilt consistently in any process.
-    Cached tensors are marked read-only — they are shared across decisions.
-    """
-
-    __slots__ = ("_capacity", "_entries", "hits", "misses")
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"tensor cache capacity must be >= 1, got {capacity}")
-        self._capacity = int(capacity)
-        self._entries: "OrderedDict[Tuple[str, str], np.ndarray]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, audited: PropertySet, disclosed: PropertySet) -> np.ndarray:
-        """The gap tensor for ``(audited, disclosed)``, built at most once."""
-        key = (audited.fingerprint(), disclosed.fingerprint())
-        tensor = self._entries.get(key)
-        if tensor is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return tensor
-        self.misses += 1
-        tensor = safety_gap_tensor(audited, disclosed)
-        tensor.flags.writeable = False
-        self._entries[key] = tensor
-        if len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
-        return tensor
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "size": len(self._entries)}
 
 
 def polynomial_from_tensor(tensor: np.ndarray) -> Polynomial:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from .polynomial import Polynomial
 from .sos import certify_box_nonnegative, sos_decompose
@@ -135,6 +134,8 @@ def sampled_minimum(
     unconstrained Shor bound); otherwise starts are uniform in the box and
     iterates stay inside via L-BFGS-B bounds.
     """
+    from scipy import optimize as sp_optimize
+
     rng = rng or np.random.default_rng(0)
     nvars = poly.nvars
     if nvars == 0:

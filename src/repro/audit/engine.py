@@ -56,9 +56,8 @@ import numpy as np
 
 from .. import _native
 
-from ..algebraic.encode import MAX_TENSOR_DIMENSION, TensorCache
 from ..core.verdict import AuditVerdict
-from ..core.worlds import HypercubeSpace, PropertySet
+from ..core.worlds import PropertySet
 from ..db.compile import CandidateUniverse
 from ..exceptions import MalformedEventError, QueryError, ReproError
 from ..perf import CacheStats
@@ -83,9 +82,6 @@ DECISION_BACKEND = "mask"
 
 #: A verdict-cache key: (A digest, B digest, assumption value, atol).
 CacheKey = Tuple[str, str, str, float]
-
-#: Entries retained in the engine's cross-event safety-gap tensor cache.
-TENSOR_CACHE_CAPACITY = 512
 
 #: Per-process memo of stateless (possibilistic/unrestricted) deciders, so
 #: partition structures are built once per (space, family).
@@ -112,7 +108,6 @@ class DecisionTask:
     atol: float
     audited: PropertySet
     disclosed: PropertySet
-    tensor: Optional[np.ndarray] = None
     budget_seconds: Optional[float] = None
     use_sos: bool = False
     pinned: bool = False
@@ -135,10 +130,6 @@ def _run_pipeline(
             use_sos=task.use_sos,
             exact_only=task.pinned or force_pinned,
         )
-        if assumption is PriorAssumption.PRODUCT:
-            return decider(
-                task.audited, task.disclosed, tensor=task.tensor, budget=budget
-            )
         return decider(task.audited, task.disclosed, budget=budget)
     memo_key = (task.assumption_value, type(space).__name__, space._key())
     decider = _DECIDER_MEMO.get(memo_key)
@@ -330,9 +321,6 @@ class BatchAuditEngine:
         # query repr → compiled disclosed set (batch-compilation memo)
         self._compiled: Dict[str, PropertySet] = {}
         self._compile_stats = CacheStats()
-        # Cross-event safety-gap tensors keyed by pair fingerprint, shared
-        # across ablation siblings and successive audit_log calls.
-        self._tensor_cache = TensorCache(capacity=TENSOR_CACHE_CAPACITY)
 
     @property
     def universe(self) -> CandidateUniverse:
@@ -410,48 +398,6 @@ class BatchAuditEngine:
         """The ``Safe_K`` decision backend: always ``"mask"``."""
         return DECISION_BACKEND
 
-    # -- tensor sharing ------------------------------------------------------------
-
-    def precompute_tensors(self, log: DisclosureLog) -> int:
-        """Compute and retain the safety-gap tensor of every unique pair.
-
-        Only meaningful on hypercube spaces within the dense-tensor limit.
-        Call before auditing the same log under several product-family
-        configurations (e.g. an ``atol`` ablation): each unique ``(A, B)``
-        then shares one tensor across all runs.  Returns the number of
-        tensors now cached.  (Product-family audits also populate the same
-        cache lazily via :meth:`_tensor_for`, so precomputation is an
-        optimisation for sweeps, not a requirement for sharing.)
-        """
-        if not self._tensors_applicable():
-            return 0
-        for disclosed in set(self.compile_log(log)):
-            self._tensor_cache.get(self._audited, disclosed)
-        return len(self._tensor_cache)
-
-    def _tensors_applicable(self) -> bool:
-        space = self._universe.space
-        return isinstance(space, HypercubeSpace) and space.n <= MAX_TENSOR_DIMENSION
-
-    def _tensor_for(self, disclosed: PropertySet) -> Optional[np.ndarray]:
-        """The pair's gap tensor, built at most once across events and calls.
-
-        Duplicate-heavy logs and ablation sweeps re-decide the same pair
-        under different configurations; the tensor depends only on the pair,
-        so it is served from the bounded fingerprint-keyed cache (and built
-        into it on first need) rather than rebuilt inside each decision.
-        """
-        if self._policy.assumption is not PriorAssumption.PRODUCT:
-            return None
-        if not self._tensors_applicable():
-            return None
-        return self._tensor_cache.get(self._audited, disclosed)
-
-    @property
-    def tensor_cache(self) -> TensorCache:
-        """The cross-event safety-gap tensor cache (hit/miss stats included)."""
-        return self._tensor_cache
-
     # -- auditing ------------------------------------------------------------------
 
     def audit_log(self, log: DisclosureLog) -> AuditReport:
@@ -487,14 +433,12 @@ class BatchAuditEngine:
         """Audit one log under several prior families.
 
         Compiled disclosed sets and the verdict cache are shared across the
-        runs; when the product family appears, gap tensors are precomputed
-        once so its exact stage never rebuilds them.  The runtime knobs
-        (budget, certificate stage, breaker) and the stats
-        they feed are shared too, so a fault during one family's run is
-        visible in every sibling report.
+        runs, so each family's run decides only the pairs it has not seen
+        (a product-family pair that reaches the exact stage builds its own
+        gap tensor there).  The runtime knobs (budget, certificate stage,
+        breaker) and the stats they feed are shared too, so a fault during
+        one family's run is visible in every sibling report.
         """
-        if PriorAssumption.PRODUCT in assumptions:
-            self.precompute_tensors(log)
         reports: Dict[PriorAssumption, AuditReport] = {}
         for assumption in assumptions:
             sibling = BatchAuditEngine(
@@ -513,7 +457,6 @@ class BatchAuditEngine:
             )
             sibling._compiled = self._compiled
             sibling._compile_stats = self._compile_stats
-            sibling._tensor_cache = self._tensor_cache
             sibling.runtime_stats = self.runtime_stats
             reports[assumption] = sibling.audit_log(log)
         return reports
@@ -576,7 +519,6 @@ class BatchAuditEngine:
             atol=self._atol,
             audited=self._audited,
             disclosed=disclosed,
-            tensor=self._tensor_for(disclosed),
             budget_seconds=self.decision_budget,
             use_sos=self.use_sos,
             pinned=pinned,
@@ -651,7 +593,6 @@ class BatchAuditEngine:
                 atol=self._atol,
                 audited=self._audited,
                 disclosed=disclosed,
-                tensor=self._tensor_for(disclosed),
                 budget_seconds=self.decision_budget,
                 use_sos=self.use_sos,
                 pinned=pinned,

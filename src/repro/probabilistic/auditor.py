@@ -34,6 +34,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..algebraic.encode import MAX_TENSOR_DIMENSION as MAX_EXACT_DIMENSION
 from ..core.distributions import Distribution
 from ..core.verdict import AuditVerdict
 from ..core.worlds import HypercubeSpace, PropertySet
@@ -56,9 +57,6 @@ from .supermodular_criteria import (
     supermodular_sufficient_criterion,
     up_down_criterion,
 )
-
-#: Dimension beyond which the dense 3^n procedures are skipped.
-MAX_EXACT_DIMENSION = 12
 
 
 def _verdict_from_criterion(result: CriterionResult) -> Optional[AuditVerdict]:
@@ -132,14 +130,15 @@ class ProbabilisticAuditor:
         self,
         audited: PropertySet,
         disclosed: PropertySet,
-        tensor: Optional[np.ndarray] = None,
         budget: Optional[Budget] = None,
     ) -> AuditVerdict:
         """Decide ``Safe_{Π_m⁰}(A, B)`` via the staged pipeline.
 
-        ``tensor`` optionally carries a precomputed safety-gap tensor for
-        the exact stage (see :func:`decide_product_safety`); batch layers
-        use it to share tensors across repeated decisions of one pair.
+        The criteria run on the packed world masks (the box criterion's
+        count tensors for ``A`` are memoised per audited set); the dense
+        safety-gap tensor is built only if a pair reaches the exact stage,
+        inside :func:`decide_product_safety`.  Every stage is looked up as a
+        module global at call time, so tracing can wrap it by name.
 
         ``budget`` bounds the decision's wall clock.  Degradation order on
         expiry: the optimizer and certificate stages are skipped first
@@ -231,11 +230,7 @@ class ProbabilisticAuditor:
                 )
             kwargs = {} if self._atol is None else {"atol": self._atol}
             verdict = decide_product_safety(
-                audited,
-                disclosed,
-                tensor=tensor,
-                budget=budget,
-                **kwargs,
+                audited, disclosed, budget=budget, **kwargs
             )
             trace.append(str(verdict))
             if verdict.is_decided:

@@ -589,7 +589,6 @@ def decide_product_safety(
     disclosed: PropertySet,
     atol: float = DEFAULT_ATOL,
     max_boxes: int = 200_000,
-    tensor: Optional[np.ndarray] = None,
     budget: Optional[Budget] = None,
 ) -> AuditVerdict:
     """Decide ``Safe_{Π_m⁰}(A, B)`` rigorously (up to ``atol``) for ``n ≤ 12``.
@@ -598,23 +597,19 @@ def decide_product_safety(
     UNSAFE verdicts carry an exactly-evaluated witness
     :class:`ProductDistribution`.
 
-    ``tensor`` optionally supplies a precomputed :func:`safety_gap_tensor`
-    of the pair, letting batch layers share one tensor across repeated
-    decisions of the same ``(A, B)`` (e.g. assumption/tolerance ablations).
+    This stage builds the pair's dense :func:`safety_gap_tensor` itself, on
+    every call: no other stage reads it, and on the recorded workloads the
+    criteria settle every pair before this stage runs.
     """
     space = audited.space
     if not isinstance(space, HypercubeSpace):
         raise TypeError("product-family safety is defined on hypercube spaces")
     space.check_same(disclosed.space)
-    if tensor is None:
-        tensor = safety_gap_tensor(audited, disclosed)
-    elif tensor.shape != (3,) * space.n:
-        raise ValueError(
-            f"precomputed tensor has shape {tensor.shape}; "
-            f"expected {(3,) * space.n}"
-        )
     decision = decide_nonnegative_on_box_batched(
-        tensor, atol=atol, max_boxes=max_boxes, budget=budget
+        safety_gap_tensor(audited, disclosed),
+        atol=atol,
+        max_boxes=max_boxes,
+        budget=budget,
     )
     if decision.nonnegative is True:
         return AuditVerdict.safe(

@@ -9,25 +9,27 @@ The cancellation criterion (Proposition 5.9) and the box necessary criterion
 Two vectorised primitives power both criteria:
 
 * :func:`box_count_tensor` — ``|X ∩ Box(w)|`` for **all** ``3^n`` boxes at
-  once, by the dimension-at-a-time sum DP (``O(n · 3^n)``);
+  once: the packed mask is unpacked onto the ``{0,1}`` sub-lattice and one
+  star-sum pass per axis fills the rest (``O(n · 3^n)``, no per-world
+  Python loop).  :func:`box_counts` runs that pass over several masks at
+  once and :func:`box_sizes` gives ``|Box(w)| = 2^{#stars(w)}``;
 * :func:`circ_pair_counter` — ``|(X × Y) ∩ Circ(w)|`` for all ``w`` realised
   by a pair, via numpy broadcasting over the Cartesian product.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
 from .. import _bitops
+from ..algebraic.encode import MAX_TENSOR_DIMENSION
 from ..core.worlds import HypercubeSpace, PropertySet
 from ..exceptions import SpaceMismatchError
 
 MatchKey = Tuple[int, int]  # (star_mask, agreed_ones)
-
-#: Guard for the 3^n tensors.
-MAX_TENSOR_DIMENSION = 13
 
 
 def _hypercube_of(prop: PropertySet) -> HypercubeSpace:
@@ -64,31 +66,59 @@ def circ_members(
         yield u, v
 
 
+def box_counts(n: int, *masks: int) -> np.ndarray:
+    """``|X ∩ Box(w)|`` for each packed world mask, shape ``(len(masks), 3^n)``.
+
+    Row ``k`` is the C-order flattening of the ``(3,)*n`` count tensor of
+    ``masks[k]``: axis ``i`` is coordinate ``i+1``, with index 0 = fixed 0,
+    1 = fixed 1, 2 = star.  The indicator comes straight from the packed
+    mask and lands on the ``{0,1}`` sub-lattice; then one vectorised
+    ``star = zero + one`` pass per axis fills in the stars.  Counts are
+    exact ``int64``.
+    """
+    if n > MAX_TENSOR_DIMENSION:
+        raise ValueError(
+            f"box tensors need 3^{n} entries; limit is n ≤ {MAX_TENSOR_DIMENSION}"
+        )
+    rows = len(masks)
+    size = 1 << n
+    width = (size + 7) // 8
+    packed = np.frombuffer(
+        b"".join(mask.to_bytes(width, "little") for mask in masks), dtype=np.uint8
+    ).reshape(rows, width)
+    bits = np.unpackbits(packed, axis=1, count=size, bitorder="little")
+    counts = np.zeros((rows,) + (3,) * n, dtype=np.int64)
+    # World bit i is axis n-i of the C-order (2,)*n reshape: reverse the
+    # axes so that axis i+1 of ``counts`` is coordinate i+1.
+    counts[(slice(None),) + (slice(0, 2),) * n] = bits.reshape(
+        (rows,) + (2,) * n
+    ).transpose((0,) + tuple(range(n, 0, -1)))
+    flat = counts.reshape(rows, 3**n)
+    for axis in range(n):
+        view = flat.reshape(rows, 3**axis, 3, 3 ** (n - axis - 1))
+        np.add(view[:, :, 0], view[:, :, 1], out=view[:, :, 2])
+    return flat
+
+
+@lru_cache(maxsize=None)
+def box_sizes(n: int) -> np.ndarray:
+    """``|Box(w)| = 2^{#stars(w)}`` for every ``w``, flattened like :func:`box_counts`.
+
+    Built once per ``n`` and read-only: every criterion call shares it.
+    """
+    sizes = box_counts(n, (1 << (1 << n)) - 1)[0]
+    sizes.flags.writeable = False
+    return sizes
+
+
 def box_count_tensor(event: PropertySet) -> np.ndarray:
-    """``|X ∩ Box(w)|`` for every ``w``, as a tensor of shape ``(3,)*n``.
+    """``|X ∩ Box(w)|`` for every ``w``, as an ``int64`` tensor of shape ``(3,)*n``.
 
     Axis ``i`` is coordinate ``i+1`` with index 0 = fixed 0, 1 = fixed 1,
-    2 = star.  Computed by scattering the indicator of ``X`` into the
-    ``{0,1}`` sub-lattice and summing star slices per axis.
+    2 = star (see :func:`box_counts`).  ``n = 0`` gives shape ``(1,)``.
     """
-    space = _hypercube_of(event)
-    n = space.n
-    if n > MAX_TENSOR_DIMENSION:
-        raise ValueError(f"box tensors need 3^{n} entries; limit is n ≤ {MAX_TENSOR_DIMENSION}")
-    tensor = np.zeros((3,) * n if n else (1,))
-    if n == 0:
-        tensor[0] = float(len(event))
-        return tensor
-    for w in event:
-        idx = tuple((w >> i) & 1 for i in range(n))
-        tensor[idx] += 1.0
-    for axis in range(n):
-        star = [slice(None)] * n
-        zero = [slice(None)] * n
-        one = [slice(None)] * n
-        star[axis], zero[axis], one[axis] = 2, 0, 1
-        tensor[tuple(star)] = tensor[tuple(zero)] + tensor[tuple(one)]
-    return tensor
+    n = _hypercube_of(event).n
+    return box_counts(n, event.mask).reshape((3,) * n if n else (1,))
 
 
 def box_count(event: PropertySet, key: MatchKey) -> int:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from .. import _bitops
 from ..core.distributions import Distribution
@@ -159,6 +158,8 @@ def find_product_counterexample(
     Any candidate below :data:`VIOLATION_TOL` is re-verified exactly through
     :class:`ProductDistribution` before being returned.
     """
+    from scipy import optimize as sp_optimize
+
     space = audited.space
     if not isinstance(space, HypercubeSpace):
         raise TypeError("product counterexamples require a hypercube space")
@@ -209,6 +210,8 @@ def find_log_supermodular_counterexample(
     projected out) and re-verified exactly; ``None`` means no witness found,
     not safety.
     """
+    from scipy import optimize as sp_optimize
+
     space = audited.space
     if not isinstance(space, HypercubeSpace):
         raise TypeError("Π_m⁺ counterexamples require a hypercube space")

@@ -17,14 +17,21 @@ Necessary criterion:
   ``|AB̄ ∩ Box(w)| · |ĀB ∩ Box(w)| ≥ |AB ∩ Box(w)| · |ĀB̄ ∩ Box(w)|``.
   A violating box yields an explicit witness product distribution
   (``p_i = w_i`` on fixed coordinates, ``1/2`` on stars).
+
+Both criteria the product stream runs hot work on packed world masks, and
+the box criterion uses the two-count deficit ``|A|·|B| − |AB|·|Box|``; the
+member-loop and four-quadrant statements are the test oracles in
+``tests/probabilistic/product_oracles.py``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 
+from .. import _bitops
 from ..core.events import monotone_mask
 from ..core.worlds import HypercubeSpace, PropertySet, quadrants
 from . import matchbox
@@ -37,19 +44,21 @@ def critical_coordinates(event: PropertySet) -> frozenset:
 
     Coordinate ``i`` is critical when flipping it changes membership for
     some world — Miklau–Suciu's record-level criticality specialised to the
-    Boolean-vector setting of Theorem 5.7.
+    Boolean-vector setting of Theorem 5.7.  With ``S`` the stripe of worlds
+    whose bit ``i`` is set, that is ``(X ∖ S) << 2^i ≠ X ∩ S`` on the
+    packed mask: the half without the bit, shifted onto the half with it,
+    differs from that half.
     """
     space = event.space
     if not isinstance(space, HypercubeSpace):
         raise TypeError("critical coordinates are defined on hypercube spaces")
-    members = event.members
+    mask = event.mask
     critical = set()
     for i in range(space.n):
         bit = 1 << i
-        for w in members:
-            if (w ^ bit) not in members:
-                critical.add(i + 1)
-                break
+        stripe = _bitops.stripe_mask(bit, space.size)
+        if (mask & ~stripe) << bit != mask & stripe:
+            critical.add(i + 1)
     return frozenset(critical)
 
 
@@ -135,23 +144,42 @@ def _box_witness(
     return ProductDistribution(space, bernoulli)
 
 
+@lru_cache(maxsize=4)
+def _audited_box_counts(n: int, mask: int) -> np.ndarray:
+    """``|A ∩ Box(w)|`` for the audited set, memoised per mask (read-only).
+
+    A policy audits one ``A`` against a stream of disclosures, so this row
+    is built once per audited set rather than once per decision.
+    """
+    counts = matchbox.box_counts(n, mask)[0]
+    counts.flags.writeable = False
+    return counts
+
+
 def box_necessary_criterion(
     audited: PropertySet, disclosed: PropertySet
 ) -> CriterionResult:
     """Proposition 5.10: necessary box-count domination, for every ``w``.
 
-    Evaluated for **all** ``3^n`` boxes at once with the tensor DP.  On
-    failure the result carries a witness :class:`ProductDistribution` whose
-    safety gap is strictly negative.
+    Evaluated for **all** ``3^n`` boxes at once.  Inside ``Box(w)`` write
+    ``a = |AB̄|``, ``b = |ĀB|``, ``c = |AB|``, ``d = |ĀB̄|``; then
+    ``|A|·|B| − |AB|·|Box| = (a+c)(b+c) − c(a+b+c+d) = ab − cd``, so the
+    deficit needs the count tensors of ``A``, ``B`` and ``AB`` and the box
+    sizes, of which only ``B``'s and ``AB``'s change per decision.  On
+    failure the result carries a witness :class:`ProductDistribution` (the
+    uniform distribution on the first most-violated box) whose safety gap
+    is strictly negative.
     """
     space = audited.space
     if not isinstance(space, HypercubeSpace):
         raise TypeError("the box criterion is defined on hypercube spaces")
-    ab, a_not_b, not_a_b, neither = quadrants(audited, disclosed)
-    t_pos = matchbox.box_count_tensor(a_not_b) * matchbox.box_count_tensor(not_a_b)
-    t_neg = matchbox.box_count_tensor(ab) * matchbox.box_count_tensor(neither)
-    deficit = t_pos - t_neg
-    if np.all(deficit >= 0):
+    space.check_same(disclosed.space)
+    n = space.n
+    t_b, t_ab = matchbox.box_counts(n, disclosed.mask, audited.mask & disclosed.mask)
+    # In place over the two fresh rows: no 3^n temporaries per decision.
+    deficit = np.multiply(t_b, _audited_box_counts(n, audited.mask), out=t_b)
+    deficit -= np.multiply(t_ab, matchbox.box_sizes(n), out=t_ab)
+    if deficit.min() >= 0:
         return CriterionResult(
             name="box-necessary",
             kind=CriterionKind.NECESSARY,
@@ -160,10 +188,9 @@ def box_necessary_criterion(
         )
     # Pick the most violated box for the witness.
     flat_index = int(np.argmin(deficit))
-    idx = np.unravel_index(flat_index, deficit.shape)
     star_mask = 0
     agreed = 0
-    for i, digit in enumerate(idx):
+    for i, digit in enumerate(np.unravel_index(flat_index, (3,) * n)):
         if digit == 2:
             star_mask |= 1 << i
         elif digit == 1:
@@ -177,7 +204,7 @@ def box_necessary_criterion(
         witness=witness,
         details={
             "violated_match_vector": matchbox.match_string(space, key),
-            "deficit": float(deficit[idx]),
+            "deficit": float(deficit[flat_index]),
         },
     )
 

@@ -272,9 +272,9 @@ class ShardManager:
         self.decision_budget = decision_budget
         self._shards: Dict[str, TenantShard] = {}
         # The shared decision engine: verdicts key on (policy, universe,
-        # disclosed set) and are tenant-independent, so its verdict cache,
-        # compiled-query memo and tensor cache are shared by every tenant
-        # shard (ablation-sibling style) — one tenant's cold decision warms
+        # disclosed set) and are tenant-independent, so its verdict cache
+        # and compiled-query memo are shared by every tenant shard
+        # (ablation-sibling style) — one tenant's cold decision warms
         # every neighbour, in memory, without a store round trip.  The batched decision plane also decides
         # whole cross-tenant batches through this engine directly.
         self.engine = BatchAuditEngine(
@@ -357,7 +357,6 @@ class ShardManager:
         engine._cache = self.engine._cache
         engine._compiled = self.engine._compiled
         engine._compile_stats = self.engine._compile_stats
-        engine._tensor_cache = self.engine._tensor_cache
         return shard
 
     def recover_all(self) -> Dict[str, int]:

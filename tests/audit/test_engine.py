@@ -210,6 +210,58 @@ class TestOneDecisionPath:
         assert report.runtime_stats.decision_backend == "mask"
 
 
+class TestGapTensorOnlyInExactStage:
+    """The dense safety-gap tensor is built inside the exact stage and
+    nowhere else: one build per exact decision, none ahead of it."""
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        from repro.algebraic import encode
+        from repro.probabilistic import auditor, exact
+
+        counts = {"builds": 0, "exact": 0}
+        build = encode.safety_gap_tensor
+        decide = auditor.decide_product_safety
+
+        def counting_build(*args, **kwargs):
+            counts["builds"] += 1
+            return build(*args, **kwargs)
+
+        def counting_decide(*args, **kwargs):
+            counts["exact"] += 1
+            return decide(*args, **kwargs)
+
+        monkeypatch.setattr(encode, "safety_gap_tensor", counting_build)
+        monkeypatch.setattr(exact, "safety_gap_tensor", counting_build)
+        monkeypatch.setattr(auditor, "decide_product_safety", counting_decide)
+        return counts
+
+    def test_product_audit_builds_one_per_exact_decision(self, counters):
+        universe = build_registry(background_rows=16)
+        policy = AuditPolicy(
+            audit_query=parse_boolean_query(AUDIT_QUERY),
+            assumption=PriorAssumption.PRODUCT,
+            name="gap-tensor-count",
+        )
+        engine = BatchAuditEngine(universe, policy)
+        engine.audit_log(build_mixed_density_log(universe, n_events=60, seed=7))
+        assert engine.cache.misses > 0
+        assert counters["builds"] == counters["exact"]
+
+    def test_exact_stage_builds_its_own_tensor(self, counters):
+        from repro.core import HypercubeSpace
+        from repro.probabilistic import ProbabilisticAuditor
+
+        # Passes every box (Prop 5.10 is only necessary) and no sufficient
+        # criterion, so without the optimizer only the exact stage decides.
+        space = HypercubeSpace(3)
+        a = space.from_mask(164)
+        b = space.from_mask(200)
+        verdict = ProbabilisticAuditor(space, use_optimizer=False).audit(a, b)
+        assert verdict.method == "bernstein-branch-and-bound"
+        assert counters == {"builds": 1, "exact": 1}
+
+
 class TestAblationSharing:
     def test_ablation_shares_compilation_and_cache(self, hospital):
         engine = BatchAuditEngine(hospital, make_policy())

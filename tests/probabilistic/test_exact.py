@@ -77,49 +77,6 @@ class TestEncoding:
             safety_gap_tensor(space.full, space.full)
 
 
-class TestTensorCache:
-    def test_builds_once_per_pair(self):
-        from repro.algebraic import TensorCache
-
-        space = HypercubeSpace(3)
-        a, b = space.property_set([1, 3, 5]), space.property_set([2, 3])
-        cache = TensorCache()
-        first = cache.get(a, b)
-        second = cache.get(a, b)
-        assert first is second
-        np.testing.assert_array_equal(first, safety_gap_tensor(a, b))
-        assert cache.stats() == {"hits": 1, "misses": 1, "size": 1}
-
-    def test_cached_tensor_is_read_only(self):
-        from repro.algebraic import TensorCache
-
-        space = HypercubeSpace(2)
-        tensor = TensorCache().get(space.property_set([1]), space.property_set([2]))
-        with pytest.raises(ValueError):
-            tensor[0, 0] = 1.0
-
-    def test_lru_eviction_at_capacity(self):
-        from repro.algebraic import TensorCache
-
-        space = HypercubeSpace(3)
-        a = space.property_set([1, 2])
-        cache = TensorCache(capacity=4)
-        for mask in range(8):
-            cache.get(a, space.property_set([mask]))
-        assert len(cache) == 4
-        # The oldest entries were evicted: re-requesting one is a miss.
-        cache.get(a, space.property_set([0]))
-        assert cache.misses == 9
-        cache.clear()
-        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
-
-    def test_capacity_must_be_positive(self):
-        from repro.algebraic import TensorCache
-
-        with pytest.raises(ValueError):
-            TensorCache(capacity=0)
-
-
 class TestBernsteinBasics:
     @given(subsets3, subsets3, points3)
     def test_enclosure_contains_values(self, xs, ys, ps):

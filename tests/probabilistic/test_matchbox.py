@@ -23,7 +23,14 @@ from repro.probabilistic import (
 )
 
 subsets3 = st.sets(st.integers(0, 7))
-subsets4 = st.sets(st.integers(0, 15))
+
+
+@st.composite
+def cube_events(draw, max_n: int):
+    """A subset of ``{0,1}^n`` for a drawn ``n ≤ max_n``, as a packed mask."""
+    n = draw(st.integers(0, max_n))
+    space = HypercubeSpace(n)
+    return space.from_mask(draw(st.integers(0, space.full_mask)))
 
 
 class TestMatch:
@@ -41,15 +48,16 @@ class TestMatch:
 
 
 class TestBoxCounts:
-    @given(subsets4)
-    def test_tensor_matches_brute_force(self, xs):
-        space = HypercubeSpace(4)
-        event = space.property_set(xs)
+    @settings(max_examples=60, deadline=None)
+    @given(cube_events(max_n=7))
+    def test_tensor_matches_brute_force(self, event):
+        n = event.space.n
         tensor = box_count_tensor(event)
-        for star, agreed in _bitops.all_match_vectors(4):
+        assert tensor.shape == ((3,) * n if n else (1,))
+        for star, agreed in _bitops.all_match_vectors(n):
             idx = tuple(
-                2 if (star >> i) & 1 else ((agreed >> i) & 1) for i in range(4)
-            )
+                2 if (star >> i) & 1 else ((agreed >> i) & 1) for i in range(n)
+            ) or (0,)
             assert tensor[idx] == box_count(event, (star, agreed)), (star, agreed)
 
     def test_full_star_counts_everything(self):

@@ -8,13 +8,14 @@ n = 3 and on random pairs for n = 4.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import HypercubeSpace, safety_gap
+from repro.core import HypercubeSpace, down_closure, safety_gap, up_closure
 from repro.probabilistic import (
     box_necessary_criterion,
     cancellation_criterion,
@@ -25,8 +26,16 @@ from repro.probabilistic import (
     monotonicity_criterion,
 )
 from tests.conftest import random_pairs
+from tests.probabilistic import product_oracles
 
 subsets3 = st.sets(st.integers(0, 7))
+
+
+@st.composite
+def cube_events(draw, min_n: int, max_n: int):
+    """A subset of ``{0,1}^n`` for a drawn ``n``, as a packed mask."""
+    space = HypercubeSpace(draw(st.integers(min_n, max_n)))
+    return space.from_mask(draw(st.integers(0, space.full_mask)))
 
 
 def exact_safe(a, b) -> bool:
@@ -56,6 +65,23 @@ class TestCriticalCoordinates:
                 if i not in critical:
                     flipped = w ^ (1 << (i - 1))
                     assert (w in event) == (flipped in event)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cube_events(min_n=1, max_n=9), st.data())
+    def test_matches_member_loop_oracle(self, event, data):
+        """The stripe test equals the per-world flip test, also on events
+        that ignore some coordinates (a cylinder over a random subset)."""
+        space = event.space
+        assert critical_coordinates(event) == product_oracles.critical_coordinates(
+            event
+        )
+        kept = data.draw(st.integers(0, (1 << space.n) - 1), label="kept")
+        cylinder = space.from_mask(
+            sum(1 << w for w in space.worlds() if (w & kept) in event)
+        )
+        expected = product_oracles.critical_coordinates(cylinder)
+        assert critical_coordinates(cylinder) == expected
+        assert expected <= {i + 1 for i in range(space.n) if (kept >> i) & 1}
 
 
 class TestMiklauSuciu:
@@ -239,3 +265,86 @@ class TestBoxNecessaryCriterion:
         b = space.property_set([w for w in worlds if (b_bits >> w) & 1])
         assert box_necessary_criterion(a, b).holds
         assert not exact_safe(a, b)
+
+
+def _criterion_pair(space: HypercubeSpace, rnd: random.Random):
+    """A random ``(A, B)`` of one of three shapes, so both outcomes occur.
+
+    Independent pairs (``A`` and ``B`` read disjoint coordinates) and
+    up-set/down-set pairs are safe, so they pass every box; pairs of random
+    masks at random densities mostly fail one.
+    """
+    n = space.n
+    shape = rnd.randrange(3)
+    if shape == 0:
+        split = rnd.getrandbits(n)
+        table_a = rnd.getrandbits(1 << n)
+        table_b = rnd.getrandbits(1 << n)
+        a = space.where(lambda w: (table_a >> (w & split)) & 1)
+        b = space.where(lambda w: (table_b >> (w & ~split)) & 1)
+    elif shape == 1:
+        a = up_closure(space.property_set(rnd.sample(range(space.size), 2)))
+        b = down_closure(space.property_set(rnd.sample(range(space.size), 2)))
+    else:
+        density_a, density_b = rnd.random(), rnd.random()
+        a = space.where(lambda w: rnd.random() < density_a)
+        b = space.where(lambda w: rnd.random() < density_b)
+    return a, b
+
+
+def _assert_same_box_result(a, b):
+    fast = box_necessary_criterion(a, b)
+    oracle = product_oracles.box_necessary_criterion(a, b)
+    assert (fast.name, fast.kind, fast.holds) == (
+        oracle.name,
+        oracle.kind,
+        oracle.holds,
+    ), (a, b)
+    assert fast.details == oracle.details, (a, b)
+    assert {k: type(v) for k, v in fast.details.items()} == {
+        k: type(v) for k, v in oracle.details.items()
+    }
+    if oracle.holds:
+        assert fast.witness is None
+    else:
+        np.testing.assert_array_equal(
+            fast.witness.bernoulli, oracle.witness.bernoulli
+        )
+    return fast.holds
+
+
+class TestBoxCriterionAgainstOracle:
+    """The two-count deficit ``|A|·|B| − |AB|·|Box|`` against the
+    four-quadrant statement of Prop 5.10: same verdict, details and witness."""
+
+    def test_random_pairs_n1_to_n9(self):
+        rnd = random.Random(510)
+        outcomes = {True: 0, False: 0}
+        for n in range(1, 10):
+            space = HypercubeSpace(n)
+            for _ in range(60):
+                outcomes[_assert_same_box_result(*_criterion_pair(space, rnd))] += 1
+        assert sum(outcomes.values()) >= 500
+        assert min(outcomes.values()) >= 100
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_edge_cases(self, n):
+        space = HypercubeSpace(n)
+        rnd = random.Random(n)
+        x = space.from_mask(rnd.getrandbits(space.size))
+        y = space.from_mask(rnd.getrandbits(space.size))
+        pairs = []
+        for event in (x, y):
+            for extreme in (space.empty, space.full):
+                pairs += [(event, extreme), (extreme, event)]
+        pairs += [
+            (x | y, x),  # B ⊆ A
+            (x & y, x),  # A ⊆ B
+            (x - y, y),  # disjoint
+            (x, x),
+        ]
+        for a, b in pairs:
+            _assert_same_box_result(a, b)
+        # B ⊆ A with A neither empty nor full is never safe.
+        if 0 < len(x & y) and len(x | y) < space.size:
+            assert not box_necessary_criterion(x | y, x & y).holds
